@@ -20,7 +20,7 @@ from . import autodiff as ad
 from . import multvae as mv
 from .autodiff import Array, Tape, Tensor
 from .container import load_container, save_container
-from .errors import ConfigError, ContractError, DataError, DimensionError
+from .errors import ConfigError, DataError, DimensionError
 
 CATEGORICAL = "categorical"
 CONTINUOUS = "continuous"
@@ -76,9 +76,19 @@ class AdvHeadParams:
     out_b: object
 
 
+def _grouped(arrays, prefix: str, kind):
+    """Parameter dataclass ``kind`` from the ``<prefix>.<field>`` entries of ``arrays``."""
+    return kind(**{f.name: arrays[f"{prefix}.{f.name}"] for f in dataclasses.fields(kind)})
+
+
 @dataclass
 class ModelParams:
-    """Everything the recommender learns: encoder, decoder and removal heads."""
+    """Everything the recommender learns: encoder, decoder and removal heads.
+
+    Flat names are ``enc.<field>``, ``dec.<field>`` and
+    ``head.<attr>.<field>``, as :meth:`named` yields them and
+    :meth:`from_named` reads them.
+    """
 
     encoder: mv.EncoderParams
     decoder: mv.DecoderParams
@@ -90,21 +100,17 @@ class ModelParams:
         for attr_name, head in self.heads.items():
             yield from mv.named_arrays(head, f"head.{attr_name}")
 
-    def copy(self) -> "ModelParams":
-        return ModelParams(
-            encoder=dataclasses.replace(
-                self.encoder, **{f.name: getattr(self.encoder, f.name).copy() for f in dataclasses.fields(self.encoder)}
-            ),
-            decoder=dataclasses.replace(
-                self.decoder, **{f.name: getattr(self.decoder, f.name).copy() for f in dataclasses.fields(self.decoder)}
-            ),
-            heads={
-                name: dataclasses.replace(
-                    head, **{f.name: getattr(head, f.name).copy() for f in dataclasses.fields(head)}
-                )
-                for name, head in self.heads.items()
-            },
+    @classmethod
+    def from_named(cls, arrays, head_names) -> "ModelParams":
+        """Inverse of :meth:`named`, with heads in ``head_names`` order."""
+        return cls(
+            encoder=_grouped(arrays, "enc", mv.EncoderParams),
+            decoder=_grouped(arrays, "dec", mv.DecoderParams),
+            heads={name: _grouped(arrays, f"head.{name}", AdvHeadParams) for name in head_names},
         )
+
+    def copy(self) -> "ModelParams":
+        return ModelParams.from_named({name: arr.copy() for name, arr in self.named()}, self.heads)
 
     def frozen_copy(self) -> "ModelParams":
         out = self.copy()
@@ -238,19 +244,19 @@ def total_objective(
     caller can map backward results onto named parameters.
     """
     tape = Tape()
-    registry: dict[str, Tensor] = {}
-    enc = mv.leaves_like(tape, model.encoder, "enc")
-    dec = mv.leaves_like(tape, model.decoder, "dec")
-    registry.update(dict(mv.named_arrays(enc, "enc")))
-    registry.update(dict(mv.named_arrays(dec, "dec")))
-    head_leaves: list[tuple[AdvHeadParams, AttributeSpec]] = []
-    for spec in specs:
-        head = mv.leaves_like(tape, model.heads[spec.name], f"head.{spec.name}")
-        registry.update(dict(mv.named_arrays(head, f"head.{spec.name}")))
-        head_leaves.append((head, spec))
+    leaves = ModelParams(
+        encoder=mv.leaves_like(tape, model.encoder, "enc"),
+        decoder=mv.leaves_like(tape, model.decoder, "dec"),
+        heads={
+            spec.name: mv.leaves_like(tape, model.heads[spec.name], f"head.{spec.name}") for spec in specs
+        },
+    )
+    registry = dict(leaves.named())
+    head_leaves = [(leaves.heads[spec.name], spec) for spec in specs]
 
     mult, parts = mv.multvae_loss(
-        x, enc, dec, beta, rng, training=training, dropout_keep=dropout_keep, activation=activation
+        x, leaves.encoder, leaves.decoder, beta, rng,
+        training=training, dropout_keep=dropout_keep, activation=activation,
     )
     if head_leaves:
         adv_total, adv_each = advx_loss(parts.state.z, head_leaves, targets, reversed=True)
@@ -266,12 +272,23 @@ def total_objective(
 
 
 def attacker_forward_eval(latents: Array, head: AdvHeadParams, spec: AttributeSpec) -> Array:
-    """Plain-numpy attacker prediction from latent means."""
-    h = np.tanh(latents @ head.hidden_w + head.hidden_b)
-    out = h @ head.out_w + head.out_b
-    if spec.kind == CONTINUOUS and spec.squash:
-        out = 1.0 / (1.0 + np.exp(-np.clip(out, -700, 700)))
-    return out
+    """Attacker prediction from latent means: :func:`adv_forward` on constants."""
+    tape = Tape()
+    head_t = mv.leaves_like(tape, head, f"attacker.{spec.name}", trainable=False)
+    return adv_forward(tape.constant(latents, name="latents"), head_t, spec, reversed=False).data
+
+
+def attacker_arrays(heads: dict[str, AdvHeadParams]) -> dict[str, Array]:
+    """Attacker heads by flat ``attacker.<attr>.<field>`` name."""
+    return {
+        name: arr for attr, head in heads.items() for name, arr in mv.named_arrays(head, f"attacker.{attr}")
+    }
+
+
+def attackers_from_arrays(arrays: dict[str, Array]) -> dict[str, AdvHeadParams]:
+    """Inverse of :func:`attacker_arrays`."""
+    attrs = dict.fromkeys(name.split(".")[1] for name in arrays)
+    return {attr: _grouped(arrays, f"attacker.{attr}", AdvHeadParams) for attr in attrs}
 
 
 def attacker_loss_graph(
@@ -280,43 +297,11 @@ def attacker_loss_graph(
     """Tape for one attacker update: constant latents, trainable head only."""
     tape = Tape()
     head_t = mv.leaves_like(tape, head, f"attacker.{spec.name}")
-    registry = dict(mv.named_arrays(head_t, f"attacker.{spec.name}"))
+    registry = attacker_arrays({spec.name: head_t})
     z = tape.constant(latents, name="latents")
     pred = adv_forward(z, head_t, spec, reversed=False)
     loss = attribute_loss(pred, spec, target)
     return loss, tape, registry
-
-
-def attacker_step(
-    frozen_encoder: mv.EncoderParams,
-    x: Array,
-    targets: dict[str, Array],
-    heads: dict[str, AdvHeadParams],
-    specs: list[AttributeSpec],
-    optimizer,
-    activation: str = "tanh",
-) -> dict[str, float]:
-    """One attacker update on a batch: encoder stays untouched.
-
-    The encoder is only ever read (its arrays should come from a frozen
-    snapshot), the latents are constants on the attacker's tape, so no
-    gradient can reach it.
-    """
-    for _, arr in mv.named_arrays(frozen_encoder, "enc"):
-        if isinstance(arr, np.ndarray) and arr.flags.writeable:
-            raise ContractError("attacker_step requires a frozen (read-only) encoder snapshot")
-    latents = mv.encode_eval(x, frozen_encoder, activation)
-    losses: dict[str, float] = {}
-    for spec in specs:
-        loss, tape, registry = attacker_loss_graph(latents, heads[spec.name], spec, targets[spec.name])
-        grads = tape.backward(loss)
-        named_grads = {name: grads[leaf] for name, leaf in registry.items()}
-        named_params = {name: arr for name, arr in mv.named_arrays(heads[spec.name], f"attacker.{spec.name}")}
-        updated = optimizer.step(named_params, named_grads)
-        for fname in ("hidden_w", "hidden_b", "out_w", "out_b"):
-            setattr(heads[spec.name], fname, updated[f"attacker.{spec.name}.{fname}"])
-        losses[spec.name] = float(loss.data)
-    return losses
 
 
 CHECKPOINT_KIND = "model-checkpoint"
@@ -336,18 +321,22 @@ def load_checkpoint(path: str) -> tuple[ModelParams, dict]:
     arrays, meta = load_container(path)
     if meta.get("kind") != CHECKPOINT_KIND:
         raise DataError(f"{path}: not a model checkpoint")
+    return ModelParams.from_named(arrays, meta.get("head_names", [])), meta.get("config", {})
 
-    def group(prefix: str, cls):
-        fields = {f.name: arrays[f"{prefix}.{f.name}"] for f in dataclasses.fields(cls)}
-        return cls(**fields)
 
-    heads = {name: group(f"head.{name}", AdvHeadParams) for name in meta.get("head_names", [])}
-    model = ModelParams(
-        encoder=group("enc", mv.EncoderParams),
-        decoder=group("dec", mv.DecoderParams),
-        heads=heads,
-    )
-    return model, meta.get("config", {})
+ATTACKER_KIND = "attacker"
+
+
+def save_attacker(path: str, heads: dict[str, AdvHeadParams], meta: dict) -> None:
+    save_container(path, {name: np.asarray(arr) for name, arr in attacker_arrays(heads).items()},
+                   {"kind": ATTACKER_KIND, **meta})
+
+
+def load_attacker(path: str) -> tuple[dict[str, AdvHeadParams], dict]:
+    arrays, meta = load_container(path)
+    if meta.get("kind") != ATTACKER_KIND:
+        raise DataError(f"{path}: not an attacker file")
+    return attackers_from_arrays(arrays), meta
 
 
 def specs_meta(specs: list[AttributeSpec]) -> str:

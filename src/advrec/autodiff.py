@@ -60,12 +60,14 @@ class Tape:
     """
 
     def __init__(self):
-        self._entries: list[tuple[Tensor, Callable[[Array], None]]] = []
+        self._entries: list[tuple[Tensor, Callable[[Array], None]]] | None = []
         self._leaves: list[Tensor] = []
+        self._recorded = 0
         self.backward_visits = 0
 
     def __len__(self) -> int:
-        return len(self._entries)
+        """Number of entries recorded, also after ``backward`` has dropped them."""
+        return self._recorded
 
     def leaf(self, data, name: str | None = None) -> Tensor:
         """Register a differentiable leaf (a parameter)."""
@@ -79,32 +81,38 @@ class Tape:
 
     def record(self, out: Tensor, grad_fn: Callable[[Array], None]) -> Tensor:
         self._entries.append((out, grad_fn))
+        self._recorded += 1
         return out
 
     def backward(self, loss: Tensor) -> dict[Tensor, Array]:
         """Gradient of ``loss`` with respect to every leaf.
 
         Unused leaves map to zero arrays. Raises ``ContractError`` when the
-        loss is not scalar.
+        loss is not scalar, or when this tape has already run backward.
+
+        The sweep drops the tape's references to its entries and leaves, so
+        the graph is freed by reference counting once the caller lets go of
+        its tensors; the tensors refer to the tape, and a live tape would
+        otherwise keep the whole graph in a reference cycle.
         """
+        if self._entries is None:
+            raise ContractError("backward already ran on this tape; a tape serves one pass")
         if loss.tape is not self:
             raise ContractError("loss tensor was recorded on a different tape")
         if loss.data.size != 1:
             raise ContractError(f"backward needs a scalar loss, got shape {loss.data.shape}")
-        for out, _ in self._entries:
-            out.grad = None
-        for leaf in self._leaves:
-            leaf.grad = None
-        self.backward_visits = 0
         loss.grad = np.ones_like(loss.data)
         for out, grad_fn in reversed(self._entries):
             self.backward_visits += 1
             if out.grad is not None:
                 grad_fn(out.grad)
-        return {
+        grads = {
             leaf: (leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data))
             for leaf in self._leaves
         }
+        self._entries = None
+        self._leaves = []
+        return grads
 
 
 def accumulate(t: Tensor, grad: Array) -> None:

@@ -16,10 +16,9 @@ from . import __version__
 from . import adversarial as adv
 from . import data as dp
 from . import evaluation as ev
-from . import multvae as mv
 from . import training as tr
 from .config import RunConfig, apply_lambda_flags, apply_seed, load_config
-from .container import load_container, save_container
+from .container import save_container
 from .errors import AdvrecError, ConfigError, DataError
 
 log = logging.getLogger("advrec")
@@ -158,16 +157,10 @@ def cmd_attack(config: RunConfig) -> int:
     model, _ = adv.load_checkpoint(_require_checkpoint(out_dir))
     specs = tr.build_specs(attrs, train_config.lambdas, fold.split.train, train_config.continuous_head)
     result = tr.train_attack_phase(model, dataset, attrs, specs, fold, train_config)
-
-    head_arrays = {}
-    for name, head in result.heads.items():
-        for pname, arr in mv.named_arrays(head, f"attacker.{name}"):
-            head_arrays[pname] = np.asarray(arr)
-    save_container(
+    adv.save_attacker(
         os.path.join(out_dir, "attacker.bin"),
-        head_arrays,
-        {"kind": "attacker", "model": label, "fold": fold.index,
-         "attributes": json.loads(adv.specs_meta(specs))},
+        result.heads,
+        {"model": label, "fold": fold.index, "attributes": json.loads(adv.specs_meta(specs))},
     )
     score_arrays = {k: np.asarray(v) for k, v in result.per_user.items()}
     save_container(
@@ -265,7 +258,7 @@ def cmd_export_embeddings(config: RunConfig) -> int:
     attacker_path = os.path.join(out_dir, "attacker.bin")
     if not os.path.exists(attacker_path):
         raise DataError(f"no attacker at {attacker_path!r}; run the attack command first")
-    head_arrays, attacker_meta = load_container(attacker_path)
+    heads, _ = adv.load_attacker(attacker_path)
     specs = tr.build_specs(attrs, train_config.lambdas, fold.split.train, train_config.continuous_head)
     if model.encoder.hidden_w.shape[0] != dataset.n_items:
         raise DataError(
@@ -273,16 +266,10 @@ def cmd_export_embeddings(config: RunConfig) -> int:
         )
 
     test_users = fold.split.test
-    latents = mv.encode_eval(dataset.batch_matrix(test_users), model.encoder, train_config.activation)
+    latents = tr.encode_users(dataset, test_users, model.encoder, train_config.activation)
     predictions = {}
     for spec in specs:
-        head = adv.AdvHeadParams(
-            hidden_w=head_arrays[f"attacker.{spec.name}.hidden_w"],
-            hidden_b=head_arrays[f"attacker.{spec.name}.hidden_b"],
-            out_w=head_arrays[f"attacker.{spec.name}.out_w"],
-            out_b=head_arrays[f"attacker.{spec.name}.out_b"],
-        )
-        raw = adv.attacker_forward_eval(latents, head, spec)
+        raw = adv.attacker_forward_eval(latents, heads[spec.name], spec)
         predictions[spec.name] = raw.argmax(axis=1) if spec.kind == adv.CATEGORICAL else raw.reshape(-1)
 
     truths = {name: values[test_users] for name, values in attrs.targets().items() if name in predictions}

@@ -13,21 +13,15 @@ from .errors import ConfigError
 from .training import TrainConfig
 
 
-def _boolish(raw: str) -> bool:
-    lowered = raw.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
-
-
 def _lambda_grid(raw: str) -> list[float]:
     values = [float(part) for part in raw.split(",") if part.strip() != ""]
     if not values:
         raise ValueError("empty grid")
     return values
 
+
+# TrainConfig fields set by train.* keys; the lambda map comes from lambda.* keys
+TRAIN_FIELDS = [f for f in dataclasses.fields(TrainConfig) if f.name != "lambdas"]
 
 # key -> (caster, default); None default means "no value unless configured"
 SCHEMA = {
@@ -39,28 +33,8 @@ SCHEMA = {
     "data.age_cap": (float, 60.0),
     "data.item_subsample": (int, 0),
     "data.subsample_seed": (int, 0),
-    "train.epochs_adversarial": (int, 200),
-    "train.epochs_attack": (int, 50),
-    "train.batch_size": (int, 64),
-    "train.beta_max": (float, 0.4),
-    "train.anneal_steps": (int, 10_000),
-    "train.lr": (float, 1e-3),
-    "train.adam_beta1": (float, 0.9),
-    "train.adam_beta2": (float, 0.999),
-    "train.adam_epsilon": (float, 1e-8),
-    "train.d_hidden": (int, 600),
-    "train.d_latent": (int, 200),
-    "train.d_adv_hidden": (int, 128),
-    "train.dropout_keep": (float, 0.5),
-    "train.activation": (str, "tanh"),
-    "train.clip_grad": (float, 0.0),
-    "train.continuous_head": (str, "sigmoid"),
-    "train.holdout_ratio": (float, 0.2),
-    "train.val_every": (int, 1),
-    "train.selection": (str, "best"),
-    "train.model_seed": (int, 0),
-    "train.data_seed": (int, 1),
-    "train.adversary_seed": (int, 2),
+    # cast by the type of the default
+    **{f"train.{f.name}": (type(f.default), f.default) for f in TRAIN_FIELDS},
     "train.fold": (int, 0),
     "train.n_folds": (int, 5),
     "lambda.gender": (float, None),
@@ -116,31 +90,8 @@ class RunConfig:
         return out
 
     def train_config(self) -> TrainConfig:
-        v = self.values
         config = TrainConfig(
-            epochs_adversarial=v["train.epochs_adversarial"],
-            epochs_attack=v["train.epochs_attack"],
-            batch_size=v["train.batch_size"],
-            beta_max=v["train.beta_max"],
-            anneal_steps=v["train.anneal_steps"],
-            lr=v["train.lr"],
-            adam_beta1=v["train.adam_beta1"],
-            adam_beta2=v["train.adam_beta2"],
-            adam_epsilon=v["train.adam_epsilon"],
-            d_hidden=v["train.d_hidden"],
-            d_latent=v["train.d_latent"],
-            d_adv_hidden=v["train.d_adv_hidden"],
-            dropout_keep=v["train.dropout_keep"],
-            activation=v["train.activation"],
-            clip_grad=v["train.clip_grad"],
-            continuous_head=v["train.continuous_head"],
-            holdout_ratio=v["train.holdout_ratio"],
-            val_every=v["train.val_every"],
-            selection=v["train.selection"],
-            model_seed=v["train.model_seed"],
-            data_seed=v["train.data_seed"],
-            adversary_seed=v["train.adversary_seed"],
-            lambdas=self.lambdas(),
+            **{f.name: self.values[f"train.{f.name}"] for f in TRAIN_FIELDS}, lambdas=self.lambdas()
         )
         config.validate()
         return config

@@ -37,12 +37,10 @@ class InteractionDataset:
 
     def batch_matrix(self, user_indices) -> np.ndarray:
         """Dense float64 {0,1} matrix for the given users."""
-        x = np.zeros((len(user_indices), self.n_items))
-        for i, u in enumerate(user_indices):
-            x[i, self.rows[u]] = 1.0
-        return x
+        return self.rows_matrix([self.rows[u] for u in user_indices])
 
     def rows_matrix(self, rows: list[np.ndarray]) -> np.ndarray:
+        """Dense float64 {0,1} matrix with one row per item-index array."""
         x = np.zeros((len(rows), self.n_items))
         for i, items in enumerate(rows):
             x[i, items] = 1.0
@@ -124,6 +122,7 @@ def load_interactions(path: str, demographics_path: str, age_cap: float = 60.0):
     """
     gender_of: dict[str, int] = {}
     age_of: dict[str, float] = {}
+    age_norm_of: dict[str, float] = {}
     gender_labels: list[str] = []
     gender_index: dict[str, int] = {}
     for lineno, fields in _read_tsv(demographics_path, 3):
@@ -143,7 +142,7 @@ def load_interactions(path: str, demographics_path: str, age_cap: float = 60.0):
             gender_labels.append(gender_tok)
         gender_of[user] = gender_index[gender_tok]
         age_of[user] = age
-        del age_norm
+        age_norm_of[user] = age_norm
 
     items_of: dict[str, set[str]] = {}
     unknown_user_rows = 0
@@ -169,7 +168,7 @@ def load_interactions(path: str, demographics_path: str, age_cap: float = 60.0):
         gender=np.array([gender_of[u] for u in users], dtype=np.int64),
         gender_labels=gender_labels,
         age_raw=np.array([age_of[u] for u in users]),
-        age_normalized=np.array([age_of[u] / age_cap for u in users]),
+        age_normalized=np.array([age_norm_of[u] for u in users]),
         age_cap=age_cap,
     )
     return dataset, attrs

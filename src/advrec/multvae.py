@@ -18,14 +18,6 @@ from .autodiff import Array, Tape, Tensor
 from .errors import ConfigError, ContractError, DimensionError
 
 ACTIVATIONS = {"tanh": ad.tanh, "sigmoid": ad.sigmoid}
-ACTIVATIONS_EVAL = {"tanh": np.tanh}
-
-
-def _expit(x):
-    return 1.0 / (1.0 + np.exp(-np.clip(x, -700, 700)))
-
-
-ACTIVATIONS_EVAL["sigmoid"] = _expit
 
 
 @dataclass
@@ -63,10 +55,12 @@ def named_arrays(params, prefix: str):
         yield f"{prefix}.{field.name}", getattr(params, field.name)
 
 
-def leaves_like(tape: Tape, params, prefix: str):
-    """Copy of a parameter dataclass whose fields are leaf tensors on ``tape``."""
+def leaves_like(tape: Tape, params, prefix: str, trainable: bool = True):
+    """Copy of a parameter dataclass whose fields are tensors on ``tape``:
+    differentiable leaves, or constants when ``trainable`` is False."""
+    wrap = tape.leaf if trainable else tape.constant
     replacements = {
-        field.name: tape.leaf(getattr(params, field.name), name=f"{prefix}.{field.name}")
+        field.name: wrap(getattr(params, field.name), name=f"{prefix}.{field.name}")
         for field in dataclasses.fields(params)
     }
     return dataclasses.replace(params, **replacements)
@@ -122,8 +116,8 @@ def encode(
     """Map interaction rows to latent Gaussian parameters.
 
     The input is L2-normalized per row and, during training, masked by
-    inverted dropout drawn from ``rng``. ``enc`` fields must be leaf tensors
-    on a live tape.
+    inverted dropout drawn from ``rng``. ``enc`` fields must be tensors on
+    one tape: leaves to train them, constants to evaluate.
     """
     if not 0.0 < dropout_keep <= 1.0:
         raise ConfigError(f"dropout keep probability must be in (0, 1], got {dropout_keep}")
@@ -235,20 +229,15 @@ def multvae_loss(
 
 
 def encode_eval(x: Array, enc: EncoderParams, activation: str = "tanh") -> Array:
-    """Plain-numpy evaluation path: latent mean from interaction rows.
-
-    Mirrors :func:`encode` with ``training=False`` exactly (same operation
-    order), so tape and eval outputs are bit-identical.
-    """
-    act = ACTIVATIONS_EVAL[activation]
-    xn = l2_normalize_rows(ad.as_f64(x))
-    h = act(xn @ enc.hidden_w + enc.hidden_b)
-    return h @ enc.mu_w + enc.mu_b
+    """Latent mean of interaction rows: :func:`encode` without dropout, on
+    constant parameters, so nothing is recorded for a backward pass."""
+    tape = Tape()
+    state = encode(x, leaves_like(tape, enc, "enc", trainable=False), 1.0, None, False, activation)
+    return state.mu.data
 
 
 def scores_eval(x: Array, enc: EncoderParams, dec: DecoderParams, activation: str = "tanh") -> Array:
     """Item logits for ranking, using the latent mean (no sampling, no dropout)."""
-    act = ACTIVATIONS_EVAL[activation]
-    mu = encode_eval(x, enc, activation)
-    h = act(mu @ dec.hidden_w + dec.hidden_b)
-    return h @ dec.out_w + dec.out_b
+    tape = Tape()
+    mu = tape.constant(encode_eval(x, enc, activation), name="mu")
+    return decode(mu, leaves_like(tape, dec, "dec", trainable=False), activation).data

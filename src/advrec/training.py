@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import itertools
+import multiprocessing
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -61,14 +62,6 @@ def adam_step(params: dict, grads: dict, state: AdamState) -> dict:
         v_hat = v / corr2
         updated[name] = p - state.lr * m_hat / (np.sqrt(v_hat) + state.epsilon)
     return updated
-
-
-class Adam:
-    def __init__(self, lr=1e-3, beta1=0.9, beta2=0.999, epsilon=1e-8):
-        self.state = AdamState(lr=lr, beta1=beta1, beta2=beta2, epsilon=epsilon)
-
-    def step(self, params: dict, grads: dict) -> dict:
-        return adam_step(params, grads, self.state)
 
 
 @dataclass
@@ -177,6 +170,18 @@ def clip_gradients(grads: dict, max_norm: float) -> dict:
     return {name: g * scale for name, g in grads.items()}
 
 
+EVAL_CHUNK = 1024  # users per dense matrix at evaluation, which bounds its memory
+
+
+def encode_users(dataset: InteractionDataset, users, encoder: mv.EncoderParams, activation: str) -> np.ndarray:
+    """Latent means of ``users``, densified and encoded ``EVAL_CHUNK`` rows at a time."""
+    latents = np.empty((len(users), encoder.mu_b.shape[0]))
+    for start in range(0, len(users), EVAL_CHUNK):
+        stop = start + EVAL_CHUNK
+        latents[start:stop] = mv.encode_eval(dataset.batch_matrix(users[start:stop]), encoder, activation)
+    return latents
+
+
 def evaluate_ranking(
     model: adv.ModelParams,
     dataset: InteractionDataset,
@@ -184,15 +189,14 @@ def evaluate_ranking(
     holdout_rows,
     config: TrainConfig,
     k: int = 10,
-    chunk: int = 1024,
 ):
     """NDCG@k and recall@k from fold-in rows against holdout rows."""
     n = len(foldin_rows)
     ndcg = np.zeros(n)
     recall = np.zeros(n)
     evaluated = np.zeros(n, dtype=bool)
-    for start in range(0, n, chunk):
-        stop = min(n, start + chunk)
+    for start in range(0, n, EVAL_CHUNK):
+        stop = min(n, start + EVAL_CHUNK)
         x = dataset.rows_matrix(foldin_rows[start:stop])
         scores = mv.scores_eval(x, model.encoder, model.decoder, config.activation)
         nd, rc, ok = ev.ranking_metrics(scores, foldin_rows[start:stop], holdout_rows[start:stop], k)
@@ -244,8 +248,7 @@ def train_adversarial_phase(
     adversary_rng = np.random.default_rng(config.adversary_seed)
 
     model = init_model(dataset, specs, config, model_rng, adversary_rng)
-    params = {name: arr for name, arr in model.named()}
-    optimizer = Adam(config.lr, config.adam_beta1, config.adam_beta2, config.adam_epsilon)
+    optimizer = AdamState(config.lr, config.adam_beta1, config.adam_beta2, config.adam_epsilon)
     targets_all = attrs.targets()
 
     train_users = fold.split.train
@@ -285,10 +288,10 @@ def train_adversarial_phase(
             if config.clip_grad > 0:
                 grads = clip_gradients(grads, config.clip_grad)
             try:
-                params = optimizer.step(params, grads)
+                params = adam_step(dict(model.named()), grads, optimizer)
             except TrainingDiverged as err:
                 raise TrainingDiverged(f"{err} (epoch {epoch}, batch {n_batches})") from None
-            _assign_params(model, params)
+            model = adv.ModelParams.from_named(params, model.heads)
             global_step += 1
             n_batches += 1
             epoch_mult += float(parts.mult.data)
@@ -331,19 +334,6 @@ def train_adversarial_phase(
     )
 
 
-def _assign_params(model: adv.ModelParams, params: dict) -> None:
-    for prefix, obj in _param_groups(model):
-        for f in dataclasses.fields(obj):
-            setattr(obj, f.name, params[f"{prefix}.{f.name}"])
-
-
-def _param_groups(model: adv.ModelParams):
-    yield "enc", model.encoder
-    yield "dec", model.decoder
-    for name, head in model.heads.items():
-        yield f"head.{name}", head
-
-
 @dataclass
 class AttackResult:
     heads: dict
@@ -377,14 +367,14 @@ def train_attack_phase(
         for spec in attack_specs
     }
     optimizers = {
-        spec.name: Adam(config.lr, config.adam_beta1, config.adam_beta2, config.adam_epsilon)
+        spec.name: AdamState(config.lr, config.adam_beta1, config.adam_beta2, config.adam_epsilon)
         for spec in attack_specs
     }
 
     train_users = fold.split.train
     test_users = fold.split.test
-    latents_train = mv.encode_eval(dataset.batch_matrix(train_users), frozen.encoder, config.activation)
-    latents_test = mv.encode_eval(dataset.batch_matrix(test_users), frozen.encoder, config.activation)
+    latents_train = encode_users(dataset, train_users, frozen.encoder, config.activation)
+    latents_test = encode_users(dataset, test_users, frozen.encoder, config.activation)
     targets_all = attrs.targets()
 
     log = []
@@ -400,11 +390,8 @@ def train_attack_phase(
                 loss, tape, registry = adv.attacker_loss_graph(batch_latents, heads[spec.name], spec, target)
                 grad_map = tape.backward(loss)
                 grads = {name: grad_map[leaf] for name, leaf in registry.items()}
-                updated = optimizers[spec.name].step(
-                    dict(mv.named_arrays(heads[spec.name], f"attacker.{spec.name}")), grads
-                )
-                for f in dataclasses.fields(heads[spec.name]):
-                    setattr(heads[spec.name], f.name, updated[f"attacker.{spec.name}.{f.name}"])
+                params = adv.attacker_arrays({spec.name: heads[spec.name]})
+                heads.update(adv.attackers_from_arrays(adam_step(params, grads, optimizers[spec.name])))
                 epoch_losses[spec.name] += float(loss.data)
             n_batches += 1
         log.append({"epoch": epoch, **{f"attacker_{k}": v / max(1, n_batches) for k, v in epoch_losses.items()}})
@@ -599,6 +586,10 @@ def grid_search(
 
     Each unit derives its randomness from the seed triple and the fold index
     only, so results do not depend on execution order or worker count.
+    Workers are spawned, not forked, because the parent's BLAS library may
+    already run threads. They keep the BLAS thread count of the environment:
+    a different count changes the last bits of large matrix products, and
+    with them the results.
     """
     combos = lambda_combinations(grid)
     if not combos:
@@ -618,7 +609,7 @@ def grid_search(
             except Exception:
                 failures.append((tasks[i][3].lambdas, tasks[i][2].index, traceback.format_exc(limit=3)))
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("spawn")) as pool:
             futures = {pool.submit(_grid_unit, payload): i for i, payload in enumerate(tasks)}
             for future, i in futures.items():
                 try:

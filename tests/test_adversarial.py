@@ -4,8 +4,8 @@ import pytest
 from advrec import adversarial as adv
 from advrec import autodiff as ad
 from advrec import multvae as mv
-from advrec.errors import ConfigError, ContractError, DataError
-from advrec.training import Adam, params_hash
+from advrec.errors import ConfigError, DataError
+from advrec.training import AdamState, adam_step
 
 
 def make_head(d_latent=4, d_hidden=5, out_dim=2, seed=0):
@@ -268,55 +268,21 @@ def test_total_objective_gradients_match_finite_differences_with_reversal():
     assert worst < 1e-4
 
 
-def freeze_encoder(model):
-    frozen = model.frozen_copy()
-    return frozen.encoder
-
-
-def test_attacker_step_keeps_encoder_frozen():
-    model = small_model()
-    frozen_enc = freeze_encoder(model)
-    before = params_hash(mv.named_arrays(frozen_enc, "enc"))
-    heads = {"gender": make_head(seed=3)}
-    specs = [gender_spec()]
-    x = random_x(6, 8, seed=14)
-    targets = {"gender": np.array([0, 1, 0, 1, 1, 0])}
-    optimizer = Adam()
-    for _ in range(20):
-        adv.attacker_step(frozen_enc, x, targets, heads, specs, optimizer)
-    assert params_hash(mv.named_arrays(frozen_enc, "enc")) == before
-    with pytest.raises(ValueError):
-        frozen_enc.hidden_w[0, 0] = 1.0  # numpy blocks writes to frozen arrays
-
-
-def test_attacker_step_requires_frozen_snapshot():
-    model = small_model()
-    heads = {"gender": make_head(seed=3)}
-    with pytest.raises(ContractError):
-        adv.attacker_step(
-            model.encoder, random_x(2, 8), {"gender": np.array([0, 1])},
-            heads, [gender_spec()], Adam(),
-        )
-
-
 def train_attacker_on_latents(latents, labels, spec, epochs=60, seed=0, lr=5e-3):
-    heads = {spec.name: adv.init_head(latents.shape[1], 8, spec.out_dim, np.random.default_rng(seed))}
-    optimizer = Adam(lr=lr)
+    head = adv.init_head(latents.shape[1], 8, spec.out_dim, np.random.default_rng(seed))
+    state = AdamState(lr=lr)
     rng = np.random.default_rng(seed + 100)
     n = len(labels)
     for _ in range(epochs):
         order = rng.permutation(n)
         for start in range(0, n, 64):
             idx = order[start : start + 64]
-            loss, tape, registry = adv.attacker_loss_graph(latents[idx], heads[spec.name], spec, labels[idx])
+            loss, tape, registry = adv.attacker_loss_graph(latents[idx], head, spec, labels[idx])
             grad_map = tape.backward(loss)
             grads = {name: grad_map[leaf] for name, leaf in registry.items()}
-            updated = optimizer.step(dict(mv.named_arrays(heads[spec.name], f"attacker.{spec.name}")), grads)
-            heads[spec.name].hidden_w = updated[f"attacker.{spec.name}.hidden_w"]
-            heads[spec.name].hidden_b = updated[f"attacker.{spec.name}.hidden_b"]
-            heads[spec.name].out_w = updated[f"attacker.{spec.name}.out_w"]
-            heads[spec.name].out_b = updated[f"attacker.{spec.name}.out_b"]
-    return heads[spec.name]
+            updated = adam_step(adv.attacker_arrays({spec.name: head}), grads, state)
+            head = adv.attackers_from_arrays(updated)[spec.name]
+    return head
 
 
 def test_attacker_on_pure_noise_latents_is_chance_level():
@@ -356,3 +322,17 @@ def test_checkpoint_roundtrip_is_bit_exact(tmp_path):
     for (name_a, arr_a), (name_b, arr_b) in zip(sorted(model.named()), sorted(loaded.named())):
         assert name_a == name_b
         assert arr_a.tobytes() == arr_b.tobytes()
+
+
+def test_attacker_roundtrip_is_bit_exact_and_checks_kind(tmp_path):
+    heads = {"gender": make_head(out_dim=2, seed=1), "age": make_head(out_dim=1, seed=2)}
+    path = str(tmp_path / "attacker.bin")
+    adv.save_attacker(path, heads, {"fold": 3})
+    loaded, meta = adv.load_attacker(path)
+    assert meta == {"kind": "attacker", "fold": 3}
+    assert sorted(loaded) == ["age", "gender"]
+    for name, arr in adv.attacker_arrays(heads).items():
+        assert adv.attacker_arrays(loaded)[name].tobytes() == arr.tobytes()
+    adv.save_checkpoint(str(tmp_path / "model.ckpt"), small_model(), {})
+    with pytest.raises(DataError):
+        adv.load_attacker(str(tmp_path / "model.ckpt"))

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -147,6 +150,26 @@ def test_backward_touches_each_entry_exactly_once():
     loss = ad.sum_all(h2)
     tape.backward(loss)
     assert tape.backward_visits == len(tape)
+    with pytest.raises(ContractError):
+        tape.backward(loss)
+
+
+def test_backward_frees_the_graph_without_the_cyclic_collector():
+    gc.disable()
+    try:
+        tape = ad.Tape()
+        x = tape.constant(np.ones((2, 3)))
+        w = tape.leaf(np.ones((3, 3)))
+        b = tape.leaf(np.zeros(3))
+        h = ad.tanh(ad.dense(x, w, b))
+        loss = ad.sum_all(h)
+        intermediate = weakref.ref(h.data)
+        grads = tape.backward(loss)
+        del h, loss, tape
+        assert intermediate() is None
+        assert grads[w].shape == (3, 3)
+    finally:
+        gc.enable()
 
 
 def test_finite_difference_quadratic():

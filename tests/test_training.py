@@ -6,6 +6,7 @@ import pytest
 from advrec import adversarial as adv
 from advrec import multvae as mv
 from advrec import training as tr
+from advrec.config import load_config
 from advrec.data import make_folds, prepare_fold
 from advrec.errors import TrainingDiverged
 from advrec.synthetic import planted_dataset
@@ -66,6 +67,14 @@ def test_default_epoch_counts_follow_protocol():
     config = tr.TrainConfig()
     assert config.epochs_adversarial == 200
     assert config.epochs_attack == 50
+
+
+def test_train_defaults_are_written_once():
+    config = load_config(None)
+    assert config.train_config() == tr.TrainConfig()
+    for f in dataclasses.fields(tr.TrainConfig):
+        if f.name != "lambdas":
+            assert f"train.{f.name}" in config.values
 
 
 def test_training_is_bit_deterministic():
@@ -136,6 +145,20 @@ def test_attack_phase_leaves_model_frozen():
         (n, a) for n, a in result.final_params.named() if n.startswith(("enc.", "dec."))
     )
     assert before == after
+    frozen = result.final_params.frozen_copy()
+    with pytest.raises(ValueError):
+        frozen.encoder.hidden_w[0, 0] = 1.0  # numpy blocks writes to frozen arrays
+
+
+def test_chunked_encoding_matches_one_full_matrix():
+    n_users = tr.EVAL_CHUNK + 300
+    dataset, _, _, config = tiny_setup(n_users=n_users, n_items=20)
+    encoder = mv.init_encoder(dataset.n_items, 6, 3, np.random.default_rng(5))
+    users = np.random.default_rng(6).permutation(n_users)
+    chunked = tr.encode_users(dataset, users, encoder, config.activation)
+    full = mv.encode_eval(dataset.batch_matrix(users), encoder, config.activation)
+    assert chunked.shape == (n_users, 3)
+    assert np.max(np.abs(chunked - full)) <= 1e-12
 
 
 def test_attacker_on_untrained_encoder_with_random_labels_is_chance_level():
@@ -202,6 +225,19 @@ def test_grid_row_count_and_single_point_equivalence():
         dataset_name="tiny",
     )
     assert single.records[0].result_row() == direct.result_row()
+
+
+def test_grid_records_do_not_depend_on_worker_count():
+    dataset, attrs, _, config = tiny_setup(epochs_adversarial=2, epochs_attack=2)
+    folds = [prepare_fold(dataset, make_folds(dataset.n_users, seed=11)[0],
+                          config.holdout_ratio, config.data_seed)]
+    grid = {"gender": [0.0, 50.0], "age": [10.0]}
+    serial = tr.grid_search(dataset, attrs, grid, folds, config, workers=1)
+    pooled = tr.grid_search(dataset, attrs, grid, folds, config, workers=2)
+    assert not serial.failures and not pooled.failures
+    assert [r.result_row() for r in pooled.records] == [r.result_row() for r in serial.records]
+    for a, b in zip(serial.records, pooled.records):
+        assert tr.params_hash(a.params.named()) == tr.params_hash(b.params.named())
 
 
 def test_grid_results_do_not_depend_on_combination_order():
