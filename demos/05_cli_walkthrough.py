@@ -17,8 +17,8 @@ print(f"working in {workdir}")
 dataset, attrs = planted_dataset(n_users=120, n_items=40, seed=2, items_low=5, items_high=14)
 with open(workdir / "interactions.tsv", "w") as fh:
     fh.write("user_id\titem_id\n")
-    for u in range(dataset.n_users):
-        for i in dataset.rows[u]:
+    for u, row in enumerate(dataset.rows):
+        for i in row:
             fh.write(f"{dataset.user_ids[u]}\t{dataset.item_ids[i]}\n")
 with open(workdir / "demographics.tsv", "w") as fh:
     fh.write("user_id\tgender\tage\n")

@@ -6,13 +6,18 @@ layer, so minimizing the joint objective scrubs the attribute from the
 encoder while the head itself keeps learning to predict it. The attack
 phase reuses the same architecture, freshly initialized, on the frozen
 encoder's latent means.
+
+All parameters live in one flat store (:class:`Params`): ``enc.<field>``
+and ``dec.<field>`` for the recommender, ``head.<attr>.<field>`` for its
+removal heads and ``attacker.<attr>.<field>`` for attackers, with fields
+as ``multvae.ENCODER``, ``multvae.DECODER`` and ``HEAD`` lay them out.
+This module owns those names and the checkpoint files.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +25,7 @@ from . import autodiff as ad
 from . import multvae as mv
 from .autodiff import Array, Tape, Tensor
 from .container import load_container, save_container
-from .errors import ConfigError, DataError, DimensionError
+from .errors import ConfigError, DataError
 
 CATEGORICAL = "categorical"
 CONTINUOUS = "continuous"
@@ -66,83 +71,55 @@ class AttributeSpec:
         return self.n_classes if self.kind == CATEGORICAL else 1
 
 
-@dataclass
-class AdvHeadParams:
-    """One-intermediate-layer MLP head from the latent space to a prediction."""
+class Params(dict):
+    """The parameter store: one flat, ordered dict from name to array."""
 
-    hidden_w: object
-    hidden_b: object
-    out_w: object
-    out_b: object
+    named = dict.items
 
 
-def _grouped(arrays, prefix: str, kind):
-    """Parameter dataclass ``kind`` from the ``<prefix>.<field>`` entries of ``arrays``."""
-    return kind(**{f.name: arrays[f"{prefix}.{f.name}"] for f in dataclasses.fields(kind)})
+def frozen(params: dict) -> Params:
+    """Read-only copy of ``params``: numpy refuses writes to its arrays."""
+    out = Params((name, arr.copy()) for name, arr in params.items())
+    for arr in out.values():
+        arr.setflags(write=False)
+    return out
 
 
-@dataclass
-class ModelParams:
-    """Everything the recommender learns: encoder, decoder and removal heads.
-
-    Flat names are ``enc.<field>``, ``dec.<field>`` and
-    ``head.<attr>.<field>``, as :meth:`named` yields them and
-    :meth:`from_named` reads them.
-    """
-
-    encoder: mv.EncoderParams
-    decoder: mv.DecoderParams
-    heads: dict[str, AdvHeadParams] = field(default_factory=dict)
-
-    def named(self):
-        yield from mv.named_arrays(self.encoder, "enc")
-        yield from mv.named_arrays(self.decoder, "dec")
-        for attr_name, head in self.heads.items():
-            yield from mv.named_arrays(head, f"head.{attr_name}")
-
-    @classmethod
-    def from_named(cls, arrays, head_names) -> "ModelParams":
-        """Inverse of :meth:`named`, with heads in ``head_names`` order."""
-        return cls(
-            encoder=_grouped(arrays, "enc", mv.EncoderParams),
-            decoder=_grouped(arrays, "dec", mv.DecoderParams),
-            heads={name: _grouped(arrays, f"head.{name}", AdvHeadParams) for name in head_names},
-        )
-
-    def copy(self) -> "ModelParams":
-        return ModelParams.from_named({name: arr.copy() for name, arr in self.named()}, self.heads)
-
-    def frozen_copy(self) -> "ModelParams":
-        out = self.copy()
-        for _, arr in out.named():
-            arr.setflags(write=False)
-        return out
+# One-intermediate-layer MLP from the latent space to a prediction,
+# laid out as in multvae.
+HEAD = {
+    "hidden_w": ("latent", "hidden"),
+    "hidden_b": ("hidden",),
+    "out_w": ("hidden", "out"),
+    "out_b": ("out",),
+}
 
 
-def init_head(d_latent: int, d_adv_hidden: int, out_dim: int, rng: np.random.Generator) -> AdvHeadParams:
-    return AdvHeadParams(
-        hidden_w=mv.uniform_init(rng, d_latent, (d_latent, d_adv_hidden)),
-        hidden_b=np.zeros(d_adv_hidden),
-        out_w=mv.uniform_init(rng, d_adv_hidden, (d_adv_hidden, out_dim)),
-        out_b=np.zeros(out_dim),
-    )
+def init_heads(
+    role: str, specs: list[AttributeSpec], d_latent: int, d_adv_hidden: int, rng: np.random.Generator
+) -> Params:
+    """One head per spec, named ``<role>.<attr>.<field>``, drawn in spec order."""
+    params = Params()
+    for spec in specs:
+        sizes = {"latent": d_latent, "hidden": d_adv_hidden, "out": spec.out_dim}
+        params.update(mv.init_layout(f"{role}.{spec.name}", HEAD, sizes, rng))
+    return params
 
 
-def adv_forward(z: Tensor, head: AdvHeadParams, spec: AttributeSpec, reversed: bool) -> Tensor:
-    """Predict an attribute from ``z``.
+def adv_forward(
+    z: Tensor, params: dict[str, Tensor], spec: AttributeSpec, reversed: bool, role: str = "head"
+) -> Tensor:
+    """Predict an attribute from ``z`` with the ``<role>.<attr>.*`` tensors.
 
     ``reversed=True`` routes ``z`` through gradient reversal at the
     attribute's scale first (removal phase); ``reversed=False`` is the plain
     forward used by the attacker. Categorical heads emit logits, continuous
     heads a single sigmoid-squashed value per row.
     """
-    if z.data.ndim != 2 or z.data.shape[1] != head.hidden_w.data.shape[0]:
-        raise DimensionError(
-            f"latent width {z.data.shape} does not match head input {head.hidden_w.data.shape}"
-        )
+    prefix = f"{role}.{spec.name}"
     zin = ad.grl(z, spec.lam) if reversed else z
-    h = ad.tanh(ad.dense(zin, head.hidden_w, head.hidden_b))
-    out = ad.dense(h, head.out_w, head.out_b)
+    h = ad.tanh(ad.dense(zin, params[f"{prefix}.hidden_w"], params[f"{prefix}.hidden_b"]))
+    out = ad.dense(h, params[f"{prefix}.out_w"], params[f"{prefix}.out_b"])
     if spec.kind == CONTINUOUS and spec.squash:
         out = ad.sigmoid(out)
     return out
@@ -198,19 +175,21 @@ def attribute_loss(pred: Tensor, spec: AttributeSpec, target: Array) -> Tensor:
 
 def advx_loss(
     z: Tensor,
-    heads: list[tuple[AdvHeadParams, AttributeSpec]],
+    params: dict[str, Tensor],
+    specs: list[AttributeSpec],
     targets: dict[str, Array],
     reversed: bool = True,
+    role: str = "head",
 ) -> tuple[Tensor, dict[str, Tensor]]:
     """Sum of per-attribute head losses, each behind its own reversal scale."""
-    if not heads:
+    if not specs:
         raise ConfigError("advx_loss needs at least one attribute head")
     per_attr: dict[str, Tensor] = {}
     total: Tensor | None = None
-    for head, spec in heads:
+    for spec in specs:
         if spec.name not in targets:
             raise DataError(f"no target column for attribute {spec.name!r}")
-        pred = adv_forward(z, head, spec, reversed=reversed)
+        pred = adv_forward(z, params, spec, reversed, role)
         loss_k = attribute_loss(pred, spec, targets[spec.name])
         per_attr[spec.name] = loss_k
         total = loss_k if total is None else ad.add(total, loss_k)
@@ -230,7 +209,7 @@ class ObjectiveParts:
 def total_objective(
     x: Array,
     targets: dict[str, Array],
-    model: ModelParams,
+    model: dict[str, Array],
     specs: list[AttributeSpec],
     beta: float,
     rng: np.random.Generator,
@@ -238,105 +217,111 @@ def total_objective(
     dropout_keep: float = 0.5,
     activation: str = "tanh",
 ) -> tuple[ObjectiveParts, Tape, dict[str, Tensor]]:
-    """Joint objective: recommender loss plus all reversed head losses.
+    """Joint objective: recommender loss plus the reversed losses of the
+    heads in ``specs``.
 
-    Returns the graph parts, the tape, and a name-to-leaf registry so the
-    caller can map backward results onto named parameters.
+    Returns the graph parts, the tape, and the leaves by parameter name,
+    which map the backward results onto the store. Heads of attributes
+    outside ``specs`` stay out of the graph.
     """
     tape = Tape()
-    leaves = ModelParams(
-        encoder=mv.leaves_like(tape, model.encoder, "enc"),
-        decoder=mv.leaves_like(tape, model.decoder, "dec"),
-        heads={
-            spec.name: mv.leaves_like(tape, model.heads[spec.name], f"head.{spec.name}") for spec in specs
-        },
-    )
-    registry = dict(leaves.named())
-    head_leaves = [(leaves.heads[spec.name], spec) for spec in specs]
-
+    graph = ("enc.", "dec.") + tuple(f"head.{spec.name}." for spec in specs)
+    leaves = {name: tape.leaf(arr, name=name) for name, arr in model.items() if name.startswith(graph)}
     mult, parts = mv.multvae_loss(
-        x, leaves.encoder, leaves.decoder, beta, rng,
-        training=training, dropout_keep=dropout_keep, activation=activation,
+        x, leaves, beta, rng, training=training, dropout_keep=dropout_keep, activation=activation,
     )
-    if head_leaves:
-        adv_total, adv_each = advx_loss(parts.state.z, head_leaves, targets, reversed=True)
+    loss, adv_each = mult, {}
+    if specs:
+        adv_total, adv_each = advx_loss(parts.state.z, leaves, specs, targets, reversed=True)
         loss = ad.add(mult, adv_total)
-    else:
-        adv_each = {}
-        loss = mult
     return (
         ObjectiveParts(loss=loss, mult=mult, nll=parts.nll, kl=parts.kl, adv=adv_each, state=parts.state),
         tape,
-        registry,
+        leaves,
     )
 
 
-def attacker_forward_eval(latents: Array, head: AdvHeadParams, spec: AttributeSpec) -> Array:
+def attacker_forward_eval(latents: Array, attackers: dict[str, Array], spec: AttributeSpec) -> Array:
     """Attacker prediction from latent means: :func:`adv_forward` on constants."""
     tape = Tape()
-    head_t = mv.leaves_like(tape, head, f"attacker.{spec.name}", trainable=False)
-    return adv_forward(tape.constant(latents, name="latents"), head_t, spec, reversed=False).data
-
-
-def attacker_arrays(heads: dict[str, AdvHeadParams]) -> dict[str, Array]:
-    """Attacker heads by flat ``attacker.<attr>.<field>`` name."""
-    return {
-        name: arr for attr, head in heads.items() for name, arr in mv.named_arrays(head, f"attacker.{attr}")
-    }
-
-
-def attackers_from_arrays(arrays: dict[str, Array]) -> dict[str, AdvHeadParams]:
-    """Inverse of :func:`attacker_arrays`."""
-    attrs = dict.fromkeys(name.split(".")[1] for name in arrays)
-    return {attr: _grouped(arrays, f"attacker.{attr}", AdvHeadParams) for attr in attrs}
+    constants = {name: tape.constant(arr, name=name) for name, arr in attackers.items()}
+    z = tape.constant(latents, name="latents")
+    return adv_forward(z, constants, spec, reversed=False, role="attacker").data
 
 
 def attacker_loss_graph(
-    latents: Array, head: AdvHeadParams, spec: AttributeSpec, target: Array
-) -> tuple[Tensor, Tape, dict[str, Tensor]]:
-    """Tape for one attacker update: constant latents, trainable head only."""
+    latents: Array, attackers: dict[str, Array], specs: list[AttributeSpec], targets: dict[str, Array]
+) -> tuple[Tensor, dict[str, Tensor], Tape, dict[str, Tensor]]:
+    """Tape for one update of every attacker: constant latents, trainable heads.
+
+    Returns the summed loss, the loss of each attribute, the tape and the
+    leaves by parameter name.
+    """
     tape = Tape()
-    head_t = mv.leaves_like(tape, head, f"attacker.{spec.name}")
-    registry = attacker_arrays({spec.name: head_t})
+    leaves = {name: tape.leaf(arr, name=name) for name, arr in attackers.items()}
     z = tape.constant(latents, name="latents")
-    pred = adv_forward(z, head_t, spec, reversed=False)
-    loss = attribute_loss(pred, spec, target)
-    return loss, tape, registry
+    total, per_attr = advx_loss(z, leaves, specs, targets, reversed=False, role="attacker")
+    return total, per_attr, tape, leaves
+
+
+# Widths where the parameter groups meet; every other width is its group's own.
+SHARED_DIMS = ("items", "latent")
+
+
+def checked_params(path: str, arrays: dict[str, Array], layouts: dict[str, dict]) -> Params:
+    """``arrays`` as a store, once they are exactly the ``<prefix>.<field>``
+    arrays of ``layouts`` (prefix -> layout) with shapes that fit together."""
+    expected = [f"{prefix}.{field}" for prefix, layout in layouts.items() for field in layout]
+    missing = sorted(set(expected) - set(arrays))
+    unexpected = sorted(set(arrays) - set(expected))
+    if missing or unexpected:
+        raise DataError(f"{path}: missing arrays {missing}, unexpected arrays {unexpected}")
+    sizes: dict = {}
+    for prefix, layout in layouts.items():
+        for field, dims in layout.items():
+            name = f"{prefix}.{field}"
+            shape = arrays[name].shape
+            keys = [dim if dim in SHARED_DIMS else (prefix, dim) for dim in dims]
+            fits = len(shape) == len(dims) and shape == tuple(sizes.setdefault(k, n) for k, n in zip(keys, shape))
+            if not fits:
+                raise DataError(f"{path}: array {name!r} of shape {shape} does not fit {dims} with the others")
+    return Params((name, arrays[name]) for name in expected)
 
 
 CHECKPOINT_KIND = "model-checkpoint"
 
 
-def save_checkpoint(path: str, model: ModelParams, config_meta: dict) -> None:
-    arrays = {name: np.asarray(arr) for name, arr in model.named()}
+def save_checkpoint(path: str, model: dict[str, Array], config_meta: dict) -> None:
     meta = {
         "kind": CHECKPOINT_KIND,
         "config": config_meta,
-        "head_names": sorted(model.heads),
+        "head_names": sorted({name.split(".")[1] for name in model if name.startswith("head.")}),
     }
-    save_container(path, arrays, meta)
+    save_container(path, {name: np.asarray(arr) for name, arr in model.items()}, meta)
 
 
-def load_checkpoint(path: str) -> tuple[ModelParams, dict]:
+def load_checkpoint(path: str) -> tuple[Params, dict]:
     arrays, meta = load_container(path)
     if meta.get("kind") != CHECKPOINT_KIND:
         raise DataError(f"{path}: not a model checkpoint")
-    return ModelParams.from_named(arrays, meta.get("head_names", [])), meta.get("config", {})
+    layouts = {"enc": mv.ENCODER, "dec": mv.DECODER, **{f"head.{h}": HEAD for h in meta.get("head_names", [])}}
+    return checked_params(path, arrays, layouts), meta.get("config", {})
 
 
 ATTACKER_KIND = "attacker"
 
 
-def save_attacker(path: str, heads: dict[str, AdvHeadParams], meta: dict) -> None:
-    save_container(path, {name: np.asarray(arr) for name, arr in attacker_arrays(heads).items()},
+def save_attacker(path: str, attackers: dict[str, Array], meta: dict) -> None:
+    save_container(path, {name: np.asarray(arr) for name, arr in attackers.items()},
                    {"kind": ATTACKER_KIND, **meta})
 
 
-def load_attacker(path: str) -> tuple[dict[str, AdvHeadParams], dict]:
+def load_attacker(path: str) -> tuple[Params, dict]:
     arrays, meta = load_container(path)
     if meta.get("kind") != ATTACKER_KIND:
         raise DataError(f"{path}: not an attacker file")
-    return attackers_from_arrays(arrays), meta
+    attrs = dict.fromkeys(name.split(".")[1] for name in arrays if name.startswith("attacker."))
+    return checked_params(path, arrays, {f"attacker.{attr}": HEAD for attr in attrs}), meta
 
 
 def specs_meta(specs: list[AttributeSpec]) -> str:

@@ -260,16 +260,16 @@ def cmd_export_embeddings(config: RunConfig) -> int:
         raise DataError(f"no attacker at {attacker_path!r}; run the attack command first")
     heads, _ = adv.load_attacker(attacker_path)
     specs = tr.build_specs(attrs, train_config.lambdas, fold.split.train, train_config.continuous_head)
-    if model.encoder.hidden_w.shape[0] != dataset.n_items:
+    if model["enc.hidden_w"].shape[0] != dataset.n_items:
         raise DataError(
-            f"checkpoint expects {model.encoder.hidden_w.shape[0]} items, dataset has {dataset.n_items}"
+            f"checkpoint expects {model['enc.hidden_w'].shape[0]} items, dataset has {dataset.n_items}"
         )
 
     test_users = fold.split.test
-    latents = tr.encode_users(dataset, test_users, model.encoder, train_config.activation)
+    latents = tr.encode_users(dataset, test_users, model, train_config.activation)
     predictions = {}
     for spec in specs:
-        raw = adv.attacker_forward_eval(latents, heads[spec.name], spec)
+        raw = adv.attacker_forward_eval(latents, heads, spec)
         predictions[spec.name] = raw.argmax(axis=1) if spec.kind == adv.CATEGORICAL else raw.reshape(-1)
 
     truths = {name: values[test_users] for name, values in attrs.targets().items() if name in predictions}

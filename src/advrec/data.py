@@ -20,16 +20,45 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class InteractionDataset:
-    """Binary user-item interactions with dense indices and id maps."""
+    """Binary user-item interactions with dense indices and id maps.
+
+    Interactions are held as CSR: user ``u``'s items are
+    ``indices[indptr[u]:indptr[u + 1]]``, sorted ascending and distinct.
+    Both arrays are int64, and the dataset cache stores them as they are.
+    """
 
     n_users: int
     n_items: int
-    rows: list[np.ndarray]
+    indptr: np.ndarray
+    indices: np.ndarray
     user_ids: list[str]
     item_ids: list[str]
 
+    @classmethod
+    def from_pairs(cls, users: np.ndarray, items: np.ndarray, user_ids: list[str], item_ids: list[str]):
+        """Dataset from distinct (user index, item index) pairs in any order."""
+        n_users, n_items = len(user_ids), len(item_ids)
+        indptr = np.zeros(n_users + 1, dtype=np.int64)
+        np.cumsum(np.bincount(users, minlength=n_users), out=indptr[1:])
+        # one sort of user-major pair codes orders the users and each user's items
+        codes = np.sort(np.asarray(users, dtype=np.int64) * n_items + items)
+        return cls(n_users, n_items, indptr, codes % n_items, user_ids, item_ids)
+
+    def row(self, u: int) -> np.ndarray:
+        """Item indices of user ``u`` (a view)."""
+        return self.indices[self.indptr[u] : self.indptr[u + 1]]
+
+    @property
+    def rows(self) -> list[np.ndarray]:
+        """Every user's item indices, as views; builds a list of ``n_users`` arrays."""
+        return [self.indices[start:stop] for start, stop in zip(self.indptr[:-1], self.indptr[1:])]
+
+    def pair_users(self) -> np.ndarray:
+        """User index of each entry of ``indices``."""
+        return np.repeat(np.arange(self.n_users, dtype=np.int64), np.diff(self.indptr))
+
     def interaction_count(self) -> int:
-        return int(sum(len(r) for r in self.rows))
+        return len(self.indices)
 
     def density(self) -> float:
         cells = self.n_users * self.n_items
@@ -37,7 +66,7 @@ class InteractionDataset:
 
     def batch_matrix(self, user_indices) -> np.ndarray:
         """Dense float64 {0,1} matrix for the given users."""
-        return self.rows_matrix([self.rows[u] for u in user_indices])
+        return self.rows_matrix([self.row(u) for u in user_indices])
 
     def rows_matrix(self, rows: list[np.ndarray]) -> np.ndarray:
         """Dense float64 {0,1} matrix with one row per item-index array."""
@@ -160,10 +189,13 @@ def load_interactions(path: str, demographics_path: str, age_cap: float = 60.0):
     users = sorted(items_of)
     item_ids = sorted({item for items in items_of.values() for item in items})
     item_index = {item: i for i, item in enumerate(item_ids)}
-    rows = [np.array(sorted(item_index[i] for i in items_of[u]), dtype=np.int64) for u in users]
-    dataset = InteractionDataset(
-        n_users=len(users), n_items=len(item_ids), rows=rows, user_ids=users, item_ids=item_ids
+    degrees = np.fromiter((len(items_of[u]) for u in users), dtype=np.int64, count=len(users))
+    items = np.fromiter(
+        (item_index[i] for u in users for i in items_of[u]), dtype=np.int64, count=int(degrees.sum())
     )
+    del items_of, item_index  # the per-user sets outweigh the arrays built from them
+    pair_users = np.repeat(np.arange(len(users), dtype=np.int64), degrees)
+    dataset = InteractionDataset.from_pairs(pair_users, items, users, item_ids)
     attrs = UserAttributes(
         gender=np.array([gender_of[u] for u in users], dtype=np.int64),
         gender_labels=gender_labels,
@@ -174,20 +206,18 @@ def load_interactions(path: str, demographics_path: str, age_cap: float = 60.0):
     return dataset, attrs
 
 
-def _reindex(dataset: InteractionDataset, keep_users: np.ndarray, keep_items: np.ndarray) -> InteractionDataset:
-    item_map = -np.ones(dataset.n_items, dtype=np.int64)
-    item_map[keep_items] = np.arange(len(keep_items))
-    rows = []
-    for u in keep_users:
-        mapped = item_map[dataset.rows[u]]
-        rows.append(np.sort(mapped[mapped >= 0]))
-    return InteractionDataset(
-        n_users=len(keep_users),
-        n_items=len(keep_items),
-        rows=rows,
-        user_ids=[dataset.user_ids[u] for u in keep_users],
-        item_ids=[dataset.item_ids[i] for i in keep_items],
+def _reindex(dataset: InteractionDataset, user_alive: np.ndarray, item_alive: np.ndarray):
+    """The dataset cut to the alive users and items, with their indices into it."""
+    pair_users = dataset.pair_users()
+    kept = user_alive[pair_users] & item_alive[dataset.indices]
+    keep_users, keep_items = np.flatnonzero(user_alive), np.flatnonzero(item_alive)
+    reindexed = InteractionDataset.from_pairs(
+        (np.cumsum(user_alive) - 1)[pair_users[kept]],
+        (np.cumsum(item_alive) - 1)[dataset.indices[kept]],
+        [dataset.user_ids[u] for u in keep_users],
+        [dataset.item_ids[i] for i in keep_items],
     )
+    return reindexed, keep_users, keep_items
 
 
 def k_core_filter(dataset: InteractionDataset, k: int):
@@ -199,27 +229,16 @@ def k_core_filter(dataset: InteractionDataset, k: int):
     """
     if k < 1:
         raise ConfigError(f"k-core threshold must be >= 1, got {k}")
+    pair_users = dataset.pair_users()
     user_alive = np.ones(dataset.n_users, dtype=bool)
     item_alive = np.ones(dataset.n_items, dtype=bool)
     while True:
-        user_deg = np.zeros(dataset.n_users, dtype=np.int64)
-        item_deg = np.zeros(dataset.n_items, dtype=np.int64)
-        for u in np.flatnonzero(user_alive):
-            items = dataset.rows[u][item_alive[dataset.rows[u]]]
-            user_deg[u] = len(items)
-            item_deg[items] += 1
-        new_user_alive = user_alive & (user_deg >= k)
-        new_item_alive = item_alive & (item_deg >= k)
+        live = user_alive[pair_users] & item_alive[dataset.indices]
+        new_user_alive = user_alive & (np.bincount(pair_users[live], minlength=dataset.n_users) >= k)
+        new_item_alive = item_alive & (np.bincount(dataset.indices[live], minlength=dataset.n_items) >= k)
         if np.array_equal(new_user_alive, user_alive) and np.array_equal(new_item_alive, item_alive):
-            break
+            return _reindex(dataset, user_alive, item_alive)
         user_alive, item_alive = new_user_alive, new_item_alive
-        if not user_alive.any() or not item_alive.any():
-            user_alive[:] = False
-            item_alive[:] = False
-            break
-    keep_users = np.flatnonzero(user_alive)
-    keep_items = np.flatnonzero(item_alive)
-    return _reindex(dataset, keep_users, keep_items), keep_users, keep_items
 
 
 def item_subsample(dataset: InteractionDataset, n_target: int, seed: int):
@@ -227,13 +246,10 @@ def item_subsample(dataset: InteractionDataset, n_target: int, seed: int):
     if n_target >= dataset.n_items:
         return dataset, np.arange(dataset.n_users), np.arange(dataset.n_items)
     rng = np.random.default_rng(seed)
-    keep_items = np.sort(rng.choice(dataset.n_items, size=n_target, replace=False))
     item_alive = np.zeros(dataset.n_items, dtype=bool)
-    item_alive[keep_items] = True
-    keep_users = np.array(
-        [u for u in range(dataset.n_users) if item_alive[dataset.rows[u]].any()], dtype=np.int64
-    )
-    return _reindex(dataset, keep_users, keep_items), keep_users, keep_items
+    item_alive[rng.choice(dataset.n_items, size=n_target, replace=False)] = True
+    user_alive = np.bincount(dataset.pair_users()[item_alive[dataset.indices]], minlength=dataset.n_users) > 0
+    return _reindex(dataset, user_alive, item_alive)
 
 
 def make_folds(user_count: int, seed: int, n_folds: int = 5) -> list[FoldSplit]:
@@ -271,11 +287,11 @@ def prepare_fold(dataset: InteractionDataset, split: FoldSplit, ratio: float, da
     fold = FoldData(split=split)
     rng = np.random.default_rng([data_seed, split.index, 2])
     for u in split.validation:
-        fi, ho = holdout_split(dataset.rows[u], ratio, rng)
+        fi, ho = holdout_split(dataset.row(u), ratio, rng)
         fold.val_foldin.append(fi)
         fold.val_holdout.append(ho)
     for u in split.test:
-        fi, ho = holdout_split(dataset.rows[u], ratio, rng)
+        fi, ho = holdout_split(dataset.row(u), ratio, rng)
         fold.test_foldin.append(fi)
         fold.test_holdout.append(ho)
     return fold
@@ -312,15 +328,9 @@ CACHE_VERSION = 1
 
 
 def save_cache(path: str, dataset: InteractionDataset, attrs: UserAttributes, extra_meta: dict | None = None) -> None:
-    indptr = np.zeros(dataset.n_users + 1, dtype=np.int64)
-    for u, row in enumerate(dataset.rows):
-        indptr[u + 1] = indptr[u] + len(row)
-    indices = (
-        np.concatenate(dataset.rows) if dataset.rows else np.zeros(0, dtype=np.int64)
-    ).astype(np.int64)
     arrays = {
-        "indptr": indptr,
-        "indices": indices,
+        "indptr": dataset.indptr,
+        "indices": dataset.indices,
         "gender": attrs.gender,
         "age_raw": attrs.age_raw,
         "age_normalized": attrs.age_normalized,
@@ -340,16 +350,38 @@ def save_cache(path: str, dataset: InteractionDataset, attrs: UserAttributes, ex
     save_container(path, arrays, meta)
 
 
+def _check_cache(path: str, arrays: dict, meta: dict) -> None:
+    """Raise DataError unless the cache's arrays form a consistent dataset."""
+    missing = sorted({"indptr", "indices", "gender", "age_raw", "age_normalized"} - set(arrays))
+    if missing:
+        raise DataError(f"{path}: cache lacks arrays {missing}")
+    n_users, n_items = meta["n_users"], meta["n_items"]
+    indptr, indices = arrays["indptr"], arrays["indices"]
+    if indptr.dtype != np.int64 or indices.dtype != np.int64 or indptr.ndim != 1 or indices.ndim != 1:
+        raise DataError(f"{path}: indptr and indices must be 1-d int64 arrays")
+    if n_users < 0 or len(indptr) != n_users + 1:
+        raise DataError(f"{path}: indptr has {len(indptr)} entries for {n_users} users")
+    if indptr[0] != 0 or indptr[-1] != len(indices) or np.any(np.diff(indptr) < 0):
+        raise DataError(f"{path}: indptr must start at 0, never decrease and end at {len(indices)}")
+    if indices.size and (indices.min() < 0 or indices.max() >= n_items):
+        raise DataError(f"{path}: item indices must lie in [0, {n_items})")
+    for name in ("gender", "age_raw", "age_normalized"):
+        if arrays[name].shape != (n_users,):
+            raise DataError(f"{path}: {name} has shape {arrays[name].shape}, expected ({n_users},)")
+    if len(meta["user_ids"]) != n_users or len(meta["item_ids"]) != n_items:
+        raise DataError(f"{path}: id lists do not match {n_users} users and {n_items} items")
+
+
 def load_cache(path: str):
     arrays, meta = load_container(path)
     if meta.get("kind") != CACHE_KIND:
         raise DataError(f"{path}: not a dataset cache")
-    indptr, indices = arrays["indptr"], arrays["indices"]
-    rows = [indices[indptr[u] : indptr[u + 1]] for u in range(meta["n_users"])]
+    _check_cache(path, arrays, meta)
     dataset = InteractionDataset(
         n_users=meta["n_users"],
         n_items=meta["n_items"],
-        rows=rows,
+        indptr=arrays["indptr"],
+        indices=arrays["indices"],
         user_ids=list(meta["user_ids"]),
         item_ids=list(meta["item_ids"]),
     )

@@ -4,11 +4,15 @@ Encoder maps a user's (row-normalized) binary interaction vector to
 Gaussian latent parameters, the decoder maps a latent sample back to item
 logits, and the loss is multinomial negative log-likelihood plus a scaled
 Gaussian KL term.
+
+Parameters live in one flat dict: ``enc.<field>`` and ``dec.<field>``
+arrays, with fields and shapes as ``ENCODER`` and ``DECODER`` lay them out.
+The forward functions read tensors from such a dict lifted onto a tape:
+``tape.leaf`` for each array to train it, ``tape.constant`` to evaluate.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,26 +24,21 @@ from .errors import ConfigError, ContractError, DimensionError
 ACTIVATIONS = {"tanh": ad.tanh, "sigmoid": ad.sigmoid}
 
 
-@dataclass
-class EncoderParams:
-    """Weights of the encoder: one hidden layer, then linear mu and logsigma heads."""
-
-    hidden_w: object
-    hidden_b: object
-    mu_w: object
-    mu_b: object
-    logsigma_w: object
-    logsigma_b: object
-
-
-@dataclass
-class DecoderParams:
-    """Weights of the decoder: one hidden layer, then linear item logits."""
-
-    hidden_w: object
-    hidden_b: object
-    out_w: object
-    out_b: object
+# Parameter layouts: field -> dimension names. A weight is (fan-in, fan-out).
+ENCODER = {
+    "hidden_w": ("items", "hidden"),
+    "hidden_b": ("hidden",),
+    "mu_w": ("hidden", "latent"),
+    "mu_b": ("latent",),
+    "logsigma_w": ("hidden", "latent"),
+    "logsigma_b": ("latent",),
+}
+DECODER = {
+    "hidden_w": ("latent", "hidden"),
+    "hidden_b": ("hidden",),
+    "out_w": ("hidden", "items"),
+    "out_b": ("items",),
+}
 
 
 @dataclass
@@ -49,48 +48,25 @@ class LatentState:
     z: Tensor | None = None
 
 
-def named_arrays(params, prefix: str):
-    """Yield ``(name, value)`` pairs for a parameter dataclass."""
-    for field in dataclasses.fields(params):
-        yield f"{prefix}.{field.name}", getattr(params, field.name)
+def init_layout(prefix: str, layout: dict, sizes: dict, rng: np.random.Generator) -> dict[str, Array]:
+    """``<prefix>.<field>`` arrays for ``layout``, drawn in layout order:
+    weights (``*_w``) uniform in +-1/sqrt(fan-in), biases zero."""
+    params = {}
+    for field, dims in layout.items():
+        shape = tuple(sizes[dim] for dim in dims)
+        limit = 1.0 / np.sqrt(shape[0])
+        params[f"{prefix}.{field}"] = rng.uniform(-limit, limit, shape) if field.endswith("_w") else np.zeros(shape)
+    return params
 
 
-def leaves_like(tape: Tape, params, prefix: str, trainable: bool = True):
-    """Copy of a parameter dataclass whose fields are tensors on ``tape``:
-    differentiable leaves, or constants when ``trainable`` is False."""
-    wrap = tape.leaf if trainable else tape.constant
-    replacements = {
-        field.name: wrap(getattr(params, field.name), name=f"{prefix}.{field.name}")
-        for field in dataclasses.fields(params)
-    }
-    return dataclasses.replace(params, **replacements)
-
-
-def uniform_init(rng: np.random.Generator, fan_in: int, shape) -> Array:
-    limit = 1.0 / np.sqrt(fan_in)
-    return rng.uniform(-limit, limit, size=shape)
-
-
-def init_encoder(n_items: int, d_hidden: int, d_latent: int, rng: np.random.Generator) -> EncoderParams:
+def init_encoder(n_items: int, d_hidden: int, d_latent: int, rng: np.random.Generator) -> dict[str, Array]:
     if d_hidden <= 0 or d_latent <= 0:
         raise ConfigError(f"hidden and latent widths must be positive, got {d_hidden}, {d_latent}")
-    return EncoderParams(
-        hidden_w=uniform_init(rng, n_items, (n_items, d_hidden)),
-        hidden_b=np.zeros(d_hidden),
-        mu_w=uniform_init(rng, d_hidden, (d_hidden, d_latent)),
-        mu_b=np.zeros(d_latent),
-        logsigma_w=uniform_init(rng, d_hidden, (d_hidden, d_latent)),
-        logsigma_b=np.zeros(d_latent),
-    )
+    return init_layout("enc", ENCODER, {"items": n_items, "hidden": d_hidden, "latent": d_latent}, rng)
 
 
-def init_decoder(n_items: int, d_hidden: int, d_latent: int, rng: np.random.Generator) -> DecoderParams:
-    return DecoderParams(
-        hidden_w=uniform_init(rng, d_latent, (d_latent, d_hidden)),
-        hidden_b=np.zeros(d_hidden),
-        out_w=uniform_init(rng, d_hidden, (d_hidden, n_items)),
-        out_b=np.zeros(n_items),
-    )
+def init_decoder(n_items: int, d_hidden: int, d_latent: int, rng: np.random.Generator) -> dict[str, Array]:
+    return init_layout("dec", DECODER, {"items": n_items, "hidden": d_hidden, "latent": d_latent}, rng)
 
 
 def check_binary(x: Array) -> None:
@@ -107,7 +83,7 @@ def l2_normalize_rows(x: Array) -> Array:
 
 def encode(
     x: Array,
-    enc: EncoderParams,
+    params: dict[str, Tensor],
     dropout_keep: float,
     rng: np.random.Generator | None,
     training: bool,
@@ -116,8 +92,8 @@ def encode(
     """Map interaction rows to latent Gaussian parameters.
 
     The input is L2-normalized per row and, during training, masked by
-    inverted dropout drawn from ``rng``. ``enc`` fields must be tensors on
-    one tape: leaves to train them, constants to evaluate.
+    inverted dropout drawn from ``rng``. ``params`` maps the ``enc.*``
+    names to tensors on one tape.
     """
     if not 0.0 < dropout_keep <= 1.0:
         raise ConfigError(f"dropout keep probability must be in (0, 1], got {dropout_keep}")
@@ -127,12 +103,11 @@ def encode(
     if training and dropout_keep < 1.0:
         mask = rng.random(x.shape) < dropout_keep
         xn = xn * mask / dropout_keep
-    tape = enc.hidden_w.tape
     act = ACTIVATIONS[activation]
-    x_in = tape.constant(xn, name="x")
-    h = act(ad.dense(x_in, enc.hidden_w, enc.hidden_b))
-    mu = ad.dense(h, enc.mu_w, enc.mu_b)
-    logsigma = ad.dense(h, enc.logsigma_w, enc.logsigma_b)
+    x_in = params["enc.hidden_w"].tape.constant(xn, name="x")
+    h = act(ad.dense(x_in, params["enc.hidden_w"], params["enc.hidden_b"]))
+    mu = ad.dense(h, params["enc.mu_w"], params["enc.mu_b"])
+    logsigma = ad.dense(h, params["enc.logsigma_w"], params["enc.logsigma_b"])
     return LatentState(mu=mu, logsigma=logsigma)
 
 
@@ -151,11 +126,12 @@ def reparameterize(state: LatentState, rng: np.random.Generator | None, training
     return z
 
 
-def decode(z: Tensor, dec: DecoderParams, activation: str = "tanh") -> Tensor:
-    """Latent sample to item logits (softmax is folded into the loss)."""
+def decode(z: Tensor, params: dict[str, Tensor], activation: str = "tanh") -> Tensor:
+    """Latent sample to item logits (softmax is folded into the loss), from
+    the ``dec.*`` tensors of ``params``."""
     act = ACTIVATIONS[activation]
-    h = act(ad.dense(z, dec.hidden_w, dec.hidden_b))
-    return ad.dense(h, dec.out_w, dec.out_b)
+    h = act(ad.dense(z, params["dec.hidden_w"], params["dec.hidden_b"]))
+    return ad.dense(h, params["dec.out_w"], params["dec.out_b"])
 
 
 def multinomial_nll(logits: Tensor, x: Array) -> Tensor:
@@ -208,8 +184,7 @@ class LossParts:
 
 def multvae_loss(
     x: Array,
-    enc: EncoderParams,
-    dec: DecoderParams,
+    params: dict[str, Tensor],
     beta: float,
     rng: np.random.Generator | None,
     training: bool = True,
@@ -219,25 +194,25 @@ def multvae_loss(
     """Reconstruction NLL plus ``beta`` times the KL term, to be minimized."""
     if beta < 0:
         raise ConfigError(f"beta must be >= 0, got {beta}")
-    state = encode(x, enc, dropout_keep, rng, training, activation)
+    state = encode(x, params, dropout_keep, rng, training, activation)
     z = reparameterize(state, rng, training)
-    logits = decode(z, dec, activation)
+    logits = decode(z, params, activation)
     nll = multinomial_nll(logits, x)
     kl = kl_gaussian(state.mu, state.logsigma)
     loss = ad.add(nll, ad.mul_const(kl, beta))
     return loss, LossParts(nll=nll, kl=kl, state=state)
 
 
-def encode_eval(x: Array, enc: EncoderParams, activation: str = "tanh") -> Array:
+def encode_eval(x: Array, params: dict[str, Array], activation: str = "tanh") -> Array:
     """Latent mean of interaction rows: :func:`encode` without dropout, on
     constant parameters, so nothing is recorded for a backward pass."""
     tape = Tape()
-    state = encode(x, leaves_like(tape, enc, "enc", trainable=False), 1.0, None, False, activation)
-    return state.mu.data
+    constants = {name: tape.constant(arr, name=name) for name, arr in params.items()}
+    return encode(x, constants, 1.0, None, False, activation).mu.data
 
 
-def scores_eval(x: Array, enc: EncoderParams, dec: DecoderParams, activation: str = "tanh") -> Array:
+def scores_eval(x: Array, params: dict[str, Array], activation: str = "tanh") -> Array:
     """Item logits for ranking, using the latent mean (no sampling, no dropout)."""
     tape = Tape()
-    mu = tape.constant(encode_eval(x, enc, activation), name="mu")
-    return decode(mu, leaves_like(tape, dec, "dec", trainable=False), activation).data
+    mu = tape.constant(encode_eval(x, params, activation), name="mu")
+    return decode(mu, {name: tape.constant(arr, name=name) for name, arr in params.items()}, activation).data

@@ -61,15 +61,13 @@ def planted_dataset(
     probs /= probs.sum(axis=1, keepdims=True)
     counts = items_low + np.rint((items_high - items_low) * age_norm).astype(int)
 
-    rows = []
-    for u in range(n_users):
-        picked = rng.choice(n_items, size=min(counts[u], n_items), replace=False, p=probs[u])
-        rows.append(np.sort(picked.astype(np.int64)))
-
-    dataset = InteractionDataset(
-        n_users=n_users,
-        n_items=n_items,
-        rows=rows,
+    sizes = np.minimum(counts, n_items)
+    items = np.concatenate(
+        [rng.choice(n_items, size=sizes[u], replace=False, p=probs[u]) for u in range(n_users)]
+    )
+    dataset = InteractionDataset.from_pairs(
+        np.repeat(np.arange(n_users, dtype=np.int64), sizes),
+        items,
         user_ids=[f"u{u}" for u in range(n_users)],
         item_ids=[f"i{i}" for i in range(n_items)],
     )

@@ -38,13 +38,14 @@ class AdamState:
     v: dict = field(default_factory=dict)
 
 
-def adam_step(params: dict, grads: dict, state: AdamState) -> dict:
-    """One bias-corrected Adam update; returns fresh parameter arrays."""
+def adam_step(params: dict, grads: dict, state: AdamState) -> adv.Params:
+    """One bias-corrected Adam update; returns the next store, in fresh
+    arrays, and leaves ``params`` as it was."""
     state.step += 1
     t = state.step
     corr1 = 1.0 - state.beta1**t
     corr2 = 1.0 - state.beta2**t
-    updated = {}
+    updated = adv.Params()
     for name, p in params.items():
         g = grads[name]
         if not np.all(np.isfinite(g)):
@@ -93,12 +94,23 @@ class TrainConfig:
     lambdas: dict = field(default_factory=dict)
 
     def validate(self) -> None:
-        if self.epochs_adversarial <= 0 or self.epochs_attack <= 0:
-            raise ConfigError("epoch counts must be positive")
-        if self.batch_size < 1:
-            raise ConfigError("batch size must be >= 1")
-        if self.beta_max < 0:
-            raise ConfigError("beta_max must be >= 0")
+        # each bound is written as "in range" and negated, so that NaN fails it too
+        for name, ok, bound in [
+            ("epochs_adversarial", self.epochs_adversarial >= 1, ">= 1"),
+            ("epochs_attack", self.epochs_attack >= 1, ">= 1"),
+            ("batch_size", self.batch_size >= 1, ">= 1"),
+            ("beta_max", 0.0 <= self.beta_max < np.inf, "finite and >= 0"),
+            ("lr", 0.0 < self.lr < np.inf, "finite and > 0"),
+            ("adam_beta1", 0.0 <= self.adam_beta1 < 1.0, "in [0, 1)"),
+            ("adam_beta2", 0.0 <= self.adam_beta2 < 1.0, "in [0, 1)"),
+            ("adam_epsilon", self.adam_epsilon > 0.0, "> 0"),
+            ("d_adv_hidden", self.d_adv_hidden >= 1, ">= 1"),
+            ("anneal_steps", self.anneal_steps >= 0, ">= 0"),
+            ("val_every", self.val_every >= 0, ">= 0"),
+            ("clip_grad", self.clip_grad >= 0, ">= 0"),
+        ]:
+            if not ok:
+                raise ConfigError(f"{name} must be {bound}, got {getattr(self, name)}")
         if self.selection not in ("best", "final"):
             raise ConfigError(f"unknown selection mode {self.selection!r}")
         if self.activation not in mv.ACTIVATIONS:
@@ -106,8 +118,8 @@ class TrainConfig:
         if self.continuous_head not in ("sigmoid", "linear"):
             raise ConfigError(f"unknown continuous_head {self.continuous_head!r}")
         for name, lam in self.lambdas.items():
-            if lam < 0:
-                raise ConfigError(f"lambda for {name!r} must be >= 0, got {lam}")
+            if not 0.0 <= lam < np.inf:
+                raise ConfigError(f"lambda for {name!r} must be finite and >= 0, got {lam}")
 
     def to_meta(self) -> dict:
         meta = dataclasses.asdict(self)
@@ -173,17 +185,17 @@ def clip_gradients(grads: dict, max_norm: float) -> dict:
 EVAL_CHUNK = 1024  # users per dense matrix at evaluation, which bounds its memory
 
 
-def encode_users(dataset: InteractionDataset, users, encoder: mv.EncoderParams, activation: str) -> np.ndarray:
+def encode_users(dataset: InteractionDataset, users, params: dict, activation: str) -> np.ndarray:
     """Latent means of ``users``, densified and encoded ``EVAL_CHUNK`` rows at a time."""
-    latents = np.empty((len(users), encoder.mu_b.shape[0]))
+    latents = np.empty((len(users), params["enc.mu_b"].shape[0]))
     for start in range(0, len(users), EVAL_CHUNK):
         stop = start + EVAL_CHUNK
-        latents[start:stop] = mv.encode_eval(dataset.batch_matrix(users[start:stop]), encoder, activation)
+        latents[start:stop] = mv.encode_eval(dataset.batch_matrix(users[start:stop]), params, activation)
     return latents
 
 
 def evaluate_ranking(
-    model: adv.ModelParams,
+    model: dict,
     dataset: InteractionDataset,
     foldin_rows,
     holdout_rows,
@@ -198,7 +210,7 @@ def evaluate_ranking(
     for start in range(0, n, EVAL_CHUNK):
         stop = min(n, start + EVAL_CHUNK)
         x = dataset.rows_matrix(foldin_rows[start:stop])
-        scores = mv.scores_eval(x, model.encoder, model.decoder, config.activation)
+        scores = mv.scores_eval(x, model, config.activation)
         nd, rc, ok = ev.ranking_metrics(scores, foldin_rows[start:stop], holdout_rows[start:stop], k)
         ndcg[start:stop] = nd
         recall[start:stop] = rc
@@ -208,13 +220,13 @@ def evaluate_ranking(
 
 @dataclass
 class TrainResult:
-    final_params: adv.ModelParams
-    best_params: adv.ModelParams
+    final_params: adv.Params
+    best_params: adv.Params
     best_epoch: int
     best_val_ndcg: float
     log: list
 
-    def selected(self, selection: str) -> adv.ModelParams:
+    def selected(self, selection: str) -> adv.Params:
         return self.best_params if selection == "best" else self.final_params
 
 
@@ -224,14 +236,13 @@ def init_model(
     config: TrainConfig,
     model_rng: np.random.Generator,
     adversary_rng: np.random.Generator,
-) -> adv.ModelParams:
-    encoder = mv.init_encoder(dataset.n_items, config.d_hidden, config.d_latent, model_rng)
-    decoder = mv.init_decoder(dataset.n_items, config.d_hidden, config.d_latent, model_rng)
-    heads = {
-        spec.name: adv.init_head(config.d_latent, config.d_adv_hidden, spec.out_dim, adversary_rng)
-        for spec in specs
-    }
-    return adv.ModelParams(encoder=encoder, decoder=decoder, heads=heads)
+) -> adv.Params:
+    """Encoder and decoder from the model stream, removal heads from the adversary stream."""
+    return adv.Params(
+        **mv.init_encoder(dataset.n_items, config.d_hidden, config.d_latent, model_rng),
+        **mv.init_decoder(dataset.n_items, config.d_hidden, config.d_latent, model_rng),
+        **adv.init_heads("head", specs, config.d_latent, config.d_adv_hidden, adversary_rng),
+    )
 
 
 def train_adversarial_phase(
@@ -253,7 +264,7 @@ def train_adversarial_phase(
 
     train_users = fold.split.train
     best_ndcg = -np.inf
-    best_params = model.copy()
+    best_params = model
     best_epoch = -1
     log = []
     global_step = 0
@@ -270,7 +281,7 @@ def train_adversarial_phase(
             x = dataset.batch_matrix(batch_users)
             batch_targets = {name: values[batch_users] for name, values in targets_all.items()}
             beta = config.beta_max * min(1.0, global_step / config.anneal_steps) if config.anneal_steps else config.beta_max
-            parts, tape, registry = adv.total_objective(
+            parts, tape, leaves = adv.total_objective(
                 x,
                 batch_targets,
                 model,
@@ -284,14 +295,13 @@ def train_adversarial_phase(
             if not np.isfinite(parts.loss.data):
                 raise TrainingDiverged(f"loss became non-finite at epoch {epoch}, batch {n_batches}")
             grad_map = tape.backward(parts.loss)
-            grads = {name: grad_map[leaf] for name, leaf in registry.items()}
+            grads = {name: grad_map[leaf] for name, leaf in leaves.items()}
             if config.clip_grad > 0:
                 grads = clip_gradients(grads, config.clip_grad)
             try:
-                params = adam_step(dict(model.named()), grads, optimizer)
+                model = adam_step(model, grads, optimizer)
             except TrainingDiverged as err:
                 raise TrainingDiverged(f"{err} (epoch {epoch}, batch {n_batches})") from None
-            model = adv.ModelParams.from_named(params, model.heads)
             global_step += 1
             n_batches += 1
             epoch_mult += float(parts.mult.data)
@@ -317,12 +327,12 @@ def train_adversarial_phase(
             entry["val_ndcg"] = val_ndcg
             if val_ndcg > best_ndcg:
                 best_ndcg = val_ndcg
-                best_params = model.copy()
+                best_params = model  # adam_step never writes a store in place
                 best_epoch = epoch
         log.append(entry)
 
     if best_epoch < 0:
-        best_params = model.copy()
+        best_params = model
         best_epoch = config.epochs_adversarial - 1
         best_ndcg = 0.0
     return TrainResult(
@@ -336,14 +346,14 @@ def train_adversarial_phase(
 
 @dataclass
 class AttackResult:
-    heads: dict
+    heads: adv.Params
     metrics: dict
     per_user: dict
     log: list
 
 
 def train_attack_phase(
-    model: adv.ModelParams,
+    model: dict,
     dataset: InteractionDataset,
     attrs: UserAttributes,
     specs: list[adv.AttributeSpec],
@@ -354,52 +364,46 @@ def train_attack_phase(
 
     One attacker per attribute, trained on training-fold users and scored
     on test-fold users (balanced accuracy for categorical attributes, mean
-    absolute error for continuous ones).
+    absolute error for continuous ones). All attackers share one tape per
+    batch and one optimizer; their losses are independent, so each learns
+    as if alone.
     """
     config.validate()
-    frozen = model.frozen_copy()
+    frozen = adv.frozen(model)
     head_rng = np.random.default_rng([config.adversary_seed, 1001])
     shuffle_rng = np.random.default_rng([config.data_seed, 1001])
 
-    attack_specs = [dataclasses.replace(spec, lam=0.0) for spec in specs]
-    heads = {
-        spec.name: adv.init_head(config.d_latent, config.d_adv_hidden, spec.out_dim, head_rng)
-        for spec in attack_specs
-    }
-    optimizers = {
-        spec.name: AdamState(config.lr, config.adam_beta1, config.adam_beta2, config.adam_epsilon)
-        for spec in attack_specs
-    }
+    heads = adv.init_heads("attacker", specs, config.d_latent, config.d_adv_hidden, head_rng)
+    optimizer = AdamState(config.lr, config.adam_beta1, config.adam_beta2, config.adam_epsilon)
 
     train_users = fold.split.train
     test_users = fold.split.test
-    latents_train = encode_users(dataset, train_users, frozen.encoder, config.activation)
-    latents_test = encode_users(dataset, test_users, frozen.encoder, config.activation)
+    latents_train = encode_users(dataset, train_users, frozen, config.activation)
+    latents_test = encode_users(dataset, test_users, frozen, config.activation)
     targets_all = attrs.targets()
 
     log = []
     for epoch in range(config.epochs_attack):
         order = shuffle_rng.permutation(len(train_users))
-        epoch_losses = {spec.name: 0.0 for spec in attack_specs}
+        epoch_losses = {spec.name: 0.0 for spec in specs}
         n_batches = 0
         for start in range(0, len(order), config.batch_size):
-            idx = order[start : start + config.batch_size]
-            batch_latents = latents_train[idx]
-            for spec in attack_specs:
-                target = targets_all[spec.name][train_users[idx]]
-                loss, tape, registry = adv.attacker_loss_graph(batch_latents, heads[spec.name], spec, target)
-                grad_map = tape.backward(loss)
-                grads = {name: grad_map[leaf] for name, leaf in registry.items()}
-                params = adv.attacker_arrays({spec.name: heads[spec.name]})
-                heads.update(adv.attackers_from_arrays(adam_step(params, grads, optimizers[spec.name])))
-                epoch_losses[spec.name] += float(loss.data)
             n_batches += 1
+            if not specs:
+                continue  # nothing to attack; the log still has its epochs
+            idx = order[start : start + config.batch_size]
+            targets = {spec.name: targets_all[spec.name][train_users[idx]] for spec in specs}
+            loss, per_attr, tape, leaves = adv.attacker_loss_graph(latents_train[idx], heads, specs, targets)
+            grad_map = tape.backward(loss)
+            heads = adam_step(heads, {name: grad_map[leaf] for name, leaf in leaves.items()}, optimizer)
+            for name, tensor in per_attr.items():
+                epoch_losses[name] += float(tensor.data)
         log.append({"epoch": epoch, **{f"attacker_{k}": v / max(1, n_batches) for k, v in epoch_losses.items()}})
 
     metrics = {}
     per_user = {"test_users": test_users.copy()}
-    for spec in attack_specs:
-        preds = adv.attacker_forward_eval(latents_test, heads[spec.name], spec)
+    for spec in specs:
+        preds = adv.attacker_forward_eval(latents_test, heads, spec)
         truth = targets_all[spec.name][test_users]
         if spec.kind == adv.CATEGORICAL:
             pred_class = preds.argmax(axis=1)
@@ -425,8 +429,8 @@ class RunRecord:
     train_log: list
     attack_log: list
     best_epoch: int
-    params: adv.ModelParams
-    attacker_heads: dict
+    params: adv.Params
+    attacker_heads: adv.Params
 
     def result_row(self) -> dict:
         row = {"dataset": self.dataset_name, "model": self.model}

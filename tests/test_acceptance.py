@@ -39,38 +39,25 @@ def test_criterion_1_gradient_correctness():
     targets = {"gender": rng.integers(0, 2, size=5), "age": rng.random(5)}
     lam = {"gender": 1.0, "age": 1.0}
 
-    def fresh_model():
-        r = np.random.default_rng(7)
-        heads = {"gender": adv.init_head(4, 5, 2, r), "age": adv.init_head(4, 5, 1, r)}
-        return adv.ModelParams(
-            encoder=mv.init_encoder(8, 6, 4, r),
-            decoder=mv.init_decoder(8, 6, 4, r),
-            heads=heads,
-        )
-
     specs = [
         adv.AttributeSpec(name="gender", kind=adv.CATEGORICAL, n_classes=2, lam=1.0),
         adv.AttributeSpec(name="age", kind=adv.CONTINUOUS, lam=1.0),
     ]
-    template = fresh_model()
-    names = [name for name, _ in template.named()]
-    arrays = [np.array(arr) for _, arr in template.named()]
+    r = np.random.default_rng(7)
+    heads = adv.init_heads("head", specs, 4, 5, r)
+    template = {**mv.init_encoder(8, 6, 4, r), **mv.init_decoder(8, 6, 4, r), **heads}
+    names = list(template)
+    arrays = [np.array(arr) for arr in template.values()]
 
     def rebuild(arrs):
-        model = fresh_model()
-        groups = {"enc": model.encoder, "dec": model.decoder,
-                  "head.gender": model.heads["gender"], "head.age": model.heads["age"]}
-        for name, arr in zip(names, arrs):
-            group, field = name.rsplit(".", 1)
-            setattr(groups[group], field, np.asarray(arr))
         return adv.total_objective(
-            x, targets, model, specs, beta=0.5, rng=np.random.default_rng(99),
+            x, targets, dict(zip(names, arrs)), specs, beta=0.5, rng=np.random.default_rng(99),
             training=True, dropout_keep=0.8,
         )
 
-    parts, tape, registry = rebuild(arrays)
+    parts, tape, leaves = rebuild(arrays)
     grad_map = tape.backward(parts.loss)
-    grads = {name: grad_map[leaf] for name, leaf in registry.items()}
+    grads = {name: grad_map[leaf] for name, leaf in leaves.items()}
 
     # the reversal layer redefines what the encoder minimizes: its tape
     # gradient equals the gradient of (recommender loss - sum_k lam_k * head_k)
@@ -137,7 +124,7 @@ def test_criterion_3_zero_lambda_equivalence():
     )
     identical = True
     for (name_a, arr_a), (name_b, arr_b) in zip(
-        with_heads.final_params.named(), plain.final_params.named()
+        with_heads.final_params.items(), plain.final_params.items()
     ):
         if not name_a.startswith(("enc.", "dec.")):
             continue

@@ -8,10 +8,6 @@ from advrec.errors import ConfigError, DataError
 from advrec.training import AdamState, adam_step
 
 
-def make_head(d_latent=4, d_hidden=5, out_dim=2, seed=0):
-    return adv.init_head(d_latent, d_hidden, out_dim, np.random.default_rng(seed))
-
-
 def gender_spec(lam=0.0, weights=None):
     return adv.AttributeSpec(name="gender", kind=adv.CATEGORICAL, n_classes=2,
                              class_weights=weights, lam=lam)
@@ -21,17 +17,21 @@ def age_spec(lam=0.0):
     return adv.AttributeSpec(name="age", kind=adv.CONTINUOUS, lam=lam)
 
 
-def small_model(n_items=8, d_hidden=6, d_latent=4, adv_hidden=5, seed=0, attrs=("gender", "age")):
+def make_head(spec=None, d_latent=4, d_hidden=5, seed=0, role="head"):
+    return adv.init_heads(role, [spec or gender_spec()], d_latent, d_hidden, np.random.default_rng(seed))
+
+
+def as_leaves(tape, params):
+    return {name: tape.leaf(arr, name=name) for name, arr in params.items()}
+
+
+def small_model(n_items=8, d_hidden=6, d_latent=4, adv_hidden=5, seed=0):
     rng = np.random.default_rng(seed)
-    heads = {}
-    if "gender" in attrs:
-        heads["gender"] = adv.init_head(d_latent, adv_hidden, 2, rng)
-    if "age" in attrs:
-        heads["age"] = adv.init_head(d_latent, adv_hidden, 1, rng)
-    return adv.ModelParams(
-        encoder=mv.init_encoder(n_items, d_hidden, d_latent, rng),
-        decoder=mv.init_decoder(n_items, d_hidden, d_latent, rng),
-        heads=heads,
+    heads = adv.init_heads("head", [gender_spec(), age_spec()], d_latent, adv_hidden, rng)
+    return adv.Params(
+        **mv.init_encoder(n_items, d_hidden, d_latent, rng),
+        **mv.init_decoder(n_items, d_hidden, d_latent, rng),
+        **heads,
     )
 
 
@@ -47,7 +47,7 @@ def test_adv_forward_identical_with_and_without_reversal():
     z0 = np.random.default_rng(1).standard_normal((3, 4))
     tape = ad.Tape()
     z = tape.constant(z0)
-    head_t = mv.leaves_like(tape, head, "h")
+    head_t = as_leaves(tape, head)
     plain = adv.adv_forward(z, head_t, gender_spec(lam=0.0), reversed=False)
     rev = adv.adv_forward(z, head_t, gender_spec(lam=400.0), reversed=True)
     assert np.array_equal(plain.data, rev.data)
@@ -58,31 +58,31 @@ def test_reversed_head_with_zero_lambda_sends_no_gradient_upstream():
     z0 = np.random.default_rng(2).standard_normal((3, 4))
     tape = ad.Tape()
     z = tape.leaf(z0, "z")
-    head_t = mv.leaves_like(tape, head, "h")
+    head_t = as_leaves(tape, head)
     pred = adv.adv_forward(z, head_t, gender_spec(lam=0.0), reversed=True)
     loss = adv.weighted_ce(pred, np.array([0, 1, 0]), np.ones(2))
     grads = tape.backward(loss)
     assert np.array_equal(grads[z], np.zeros((3, 4)))
-    assert np.any(grads[head_t.hidden_w] != 0.0)
+    assert np.any(grads[head_t["head.gender.hidden_w"]] != 0.0)
 
 
 def test_zero_weight_head_outputs_bias():
     head = make_head()
-    head.hidden_w = np.zeros_like(head.hidden_w)
-    head.out_w = np.zeros_like(head.out_w)
-    head.out_b = np.array([0.3, -0.2])
+    head["head.gender.hidden_w"] = np.zeros_like(head["head.gender.hidden_w"])
+    head["head.gender.out_w"] = np.zeros_like(head["head.gender.out_w"])
+    head["head.gender.out_b"] = np.array([0.3, -0.2])
     tape = ad.Tape()
     z = tape.constant(np.random.default_rng(0).standard_normal((4, 4)))
-    head_t = mv.leaves_like(tape, head, "h")
+    head_t = as_leaves(tape, head)
     pred = adv.adv_forward(z, head_t, gender_spec(), reversed=False)
     assert np.allclose(pred.data, [0.3, -0.2])
 
 
 def test_continuous_head_prediction_lies_in_unit_interval():
-    head = make_head(out_dim=1)
+    head = make_head(age_spec())
     tape = ad.Tape()
     z = tape.constant(np.random.default_rng(0).standard_normal((20, 4)) * 10)
-    head_t = mv.leaves_like(tape, head, "h")
+    head_t = as_leaves(tape, head)
     pred = adv.adv_forward(z, head_t, age_spec(), reversed=False)
     assert np.all(pred.data > 0.0) and np.all(pred.data < 1.0)
 
@@ -147,19 +147,14 @@ def test_mse_examples():
 def test_advx_loss_additive_and_permutation_invariant():
     rng = np.random.default_rng(5)
     z0 = rng.standard_normal((4, 4))
-    g_head, a_head = make_head(seed=1), make_head(out_dim=1, seed=2)
+    heads = {**make_head(gender_spec(), seed=1), **make_head(age_spec(), seed=2)}
     targets = {"gender": np.array([0, 1, 1, 0]), "age": rng.random(4)}
+    specs = {"gender": gender_spec(lam=1.0), "age": age_spec(lam=1.0)}
 
     def total(order):
         tape = ad.Tape()
         z = tape.constant(z0)
-        pairs = []
-        for name in order:
-            if name == "gender":
-                pairs.append((mv.leaves_like(tape, g_head, "g"), gender_spec(lam=1.0)))
-            else:
-                pairs.append((mv.leaves_like(tape, a_head, "a"), age_spec(lam=1.0)))
-        loss, per_attr = adv.advx_loss(z, pairs, targets)
+        loss, per_attr = adv.advx_loss(z, as_leaves(tape, heads), [specs[name] for name in order], targets)
         return float(loss.data), {k: float(v.data) for k, v in per_attr.items()}
 
     both, parts = total(["gender", "age"])
@@ -174,18 +169,17 @@ def test_advx_loss_additive_and_permutation_invariant():
 def test_advx_loss_missing_target_column():
     tape = ad.Tape()
     z = tape.constant(np.zeros((2, 4)))
-    pairs = [(mv.leaves_like(tape, make_head(), "g"), gender_spec())]
     with pytest.raises(DataError):
-        adv.advx_loss(z, pairs, {"age": np.zeros(2)})
+        adv.advx_loss(z, as_leaves(tape, make_head()), [gender_spec()], {"age": np.zeros(2)})
 
 
 def objective_grads(model, specs, x, targets, seed=11):
-    parts, tape, registry = adv.total_objective(
+    parts, tape, leaves = adv.total_objective(
         x, targets, model, specs, beta=0.3, rng=np.random.default_rng(seed),
         training=True, dropout_keep=0.8,
     )
     grad_map = tape.backward(parts.loss)
-    return parts, {name: grad_map[leaf] for name, leaf in registry.items()}
+    return parts, {name: grad_map[leaf] for name, leaf in leaves.items()}
 
 
 def test_total_objective_zero_lambda_matches_plain_model_gradients():
@@ -223,25 +217,18 @@ def test_total_objective_gradients_match_finite_differences_with_reversal():
     lam = {"gender": 1.0, "age": 1.0}
     specs = [gender_spec(lam=lam["gender"]), age_spec(lam=lam["age"])]
 
-    names = [name for name, _ in model.named()]
-    arrays = [arr for _, arr in model.named()]
+    names = list(model)
+    arrays = list(model.values())
 
     def rebuild(arrs):
-        m = small_model()
-        for (name, _), arr in zip(model.named(), arrs):
-            group, field = name.rsplit(".", 1)
-            obj = {"enc": m.encoder, "dec": m.decoder, "head.gender": m.heads["gender"],
-                   "head.age": m.heads["age"]}[group]
-            setattr(obj, field, np.asarray(arr))
-        parts, tape, registry = adv.total_objective(
-            x, targets, m, specs, beta=0.3, rng=np.random.default_rng(13),
+        return adv.total_objective(
+            x, targets, dict(zip(names, arrs)), specs, beta=0.3, rng=np.random.default_rng(13),
             training=True, dropout_keep=0.8,
         )
-        return parts, tape, registry
 
-    parts, tape, registry = rebuild(arrays)
+    parts, tape, leaves = rebuild(arrays)
     grad_map = tape.backward(parts.loss)
-    grads = {name: grad_map[leaf] for name, leaf in registry.items()}
+    grads = {name: grad_map[leaf] for name, leaf in leaves.items()}
 
     def value_total(arrs):
         p, _, _ = rebuild(arrs)
@@ -269,7 +256,7 @@ def test_total_objective_gradients_match_finite_differences_with_reversal():
 
 
 def train_attacker_on_latents(latents, labels, spec, epochs=60, seed=0, lr=5e-3):
-    head = adv.init_head(latents.shape[1], 8, spec.out_dim, np.random.default_rng(seed))
+    head = make_head(spec, latents.shape[1], 8, seed, role="attacker")
     state = AdamState(lr=lr)
     rng = np.random.default_rng(seed + 100)
     n = len(labels)
@@ -277,11 +264,9 @@ def train_attacker_on_latents(latents, labels, spec, epochs=60, seed=0, lr=5e-3)
         order = rng.permutation(n)
         for start in range(0, n, 64):
             idx = order[start : start + 64]
-            loss, tape, registry = adv.attacker_loss_graph(latents[idx], head, spec, labels[idx])
+            loss, _, tape, leaves = adv.attacker_loss_graph(latents[idx], head, [spec], {spec.name: labels[idx]})
             grad_map = tape.backward(loss)
-            grads = {name: grad_map[leaf] for name, leaf in registry.items()}
-            updated = adam_step(adv.attacker_arrays({spec.name: head}), grads, state)
-            head = adv.attackers_from_arrays(updated)[spec.name]
+            head = adam_step(head, {name: grad_map[leaf] for name, leaf in leaves.items()}, state)
     return head
 
 
@@ -319,20 +304,52 @@ def test_checkpoint_roundtrip_is_bit_exact(tmp_path):
     adv.save_checkpoint(path, model, {"d_latent": 4})
     loaded, config = adv.load_checkpoint(path)
     assert config == {"d_latent": 4}
-    for (name_a, arr_a), (name_b, arr_b) in zip(sorted(model.named()), sorted(loaded.named())):
-        assert name_a == name_b
-        assert arr_a.tobytes() == arr_b.tobytes()
+    assert sorted(loaded) == sorted(model)
+    for name, arr in model.items():
+        assert loaded[name].tobytes() == arr.tobytes()
 
 
 def test_attacker_roundtrip_is_bit_exact_and_checks_kind(tmp_path):
-    heads = {"gender": make_head(out_dim=2, seed=1), "age": make_head(out_dim=1, seed=2)}
+    heads = {**make_head(gender_spec(), seed=1, role="attacker"), **make_head(age_spec(), seed=2, role="attacker")}
     path = str(tmp_path / "attacker.bin")
     adv.save_attacker(path, heads, {"fold": 3})
     loaded, meta = adv.load_attacker(path)
     assert meta == {"kind": "attacker", "fold": 3}
-    assert sorted(loaded) == ["age", "gender"]
-    for name, arr in adv.attacker_arrays(heads).items():
-        assert adv.attacker_arrays(loaded)[name].tobytes() == arr.tobytes()
+    assert sorted(loaded) == sorted(heads)
+    for name, arr in heads.items():
+        assert loaded[name].tobytes() == arr.tobytes()
     adv.save_checkpoint(str(tmp_path / "model.ckpt"), small_model(), {})
     with pytest.raises(DataError):
         adv.load_attacker(str(tmp_path / "model.ckpt"))
+
+
+def test_checkpoint_missing_array_fails_with_data_error(tmp_path):
+    arrays = dict(small_model())
+    del arrays["enc.mu_b"]
+    path = str(tmp_path / "model.ckpt")
+    adv.save_checkpoint(path, arrays, {})
+    with pytest.raises(DataError, match="enc.mu_b"):
+        adv.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("name, shape", [("enc.mu_b", (3,)), ("dec.out_w", (5, 8)),
+                                         ("head.age.hidden_w", (3, 5)), ("enc.hidden_b", (6, 1))])
+def test_checkpoint_with_shapes_that_do_not_fit_fails_with_data_error(tmp_path, name, shape):
+    model = small_model()
+    model[name] = np.zeros(shape)
+    path = str(tmp_path / "model.ckpt")
+    adv.save_checkpoint(path, model, {})
+    with pytest.raises(DataError, match=name):
+        adv.load_checkpoint(path)
+
+
+def test_attacker_file_with_missing_or_misshapen_arrays_fails_with_data_error(tmp_path):
+    path = str(tmp_path / "attacker.bin")
+    heads = {**make_head(gender_spec(), seed=1, role="attacker"), **make_head(age_spec(), seed=2, role="attacker")}
+    adv.save_attacker(path, {**heads, "attacker.age.out_b": np.zeros(2)}, {})
+    with pytest.raises(DataError, match="attacker.age.out_b"):
+        adv.load_attacker(path)
+    del heads["attacker.gender.hidden_b"]
+    adv.save_attacker(path, heads, {})
+    with pytest.raises(DataError, match="attacker.gender.hidden_b"):
+        adv.load_attacker(path)

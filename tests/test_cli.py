@@ -16,8 +16,8 @@ def write_raw_tsvs(tmp_path, n_users=80, n_items=30, seed=0):
     dpath = tmp_path / "demographics.tsv"
     with open(ipath, "w") as fh:
         fh.write("user_id\titem_id\n")
-        for u in range(dataset.n_users):
-            for i in dataset.rows[u]:
+        for u, row in enumerate(dataset.rows):
+            for i in row:
                 fh.write(f"{dataset.user_ids[u]}\t{dataset.item_ids[i]}\n")
     with open(dpath, "w") as fh:
         fh.write("user_id\tgender\tage\n")
@@ -96,6 +96,20 @@ def test_unknown_config_key_is_rejected(tmp_path, capsys):
     code = main(["preprocess", "--config", str(config)])
     assert code == 2
     assert "train.warp_speed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("train.d_adv_hidden", "0"), ("train.lr", "-1"), ("train.lr", "0"), ("train.lr", "nan"),
+    ("train.adam_beta1", "1"), ("train.adam_beta2", "1"), ("train.adam_epsilon", "0"),
+    ("train.val_every", "-1"), ("train.clip_grad", "-1"), ("train.anneal_steps", "-1"),
+    ("train.beta_max", "nan"), ("train.beta_max", "inf"), ("lambda.gender", "nan"),
+])
+def test_train_rejects_out_of_range_settings(tmp_path, capsys, key, value):
+    write_raw_tsvs(tmp_path)
+    config = write_config(tmp_path, **{key: value})
+    assert main(["preprocess", "--config", str(config)]) == 0
+    assert main(["train", "--config", str(config)]) == 2
+    assert key.split(".")[1] in capsys.readouterr().err
 
 
 def test_full_single_run_pipeline(workspace, capsys):

@@ -35,8 +35,8 @@ def brute_force_k_core(pairs, k):
 def dataset_pairs(dataset):
     return {
         (dataset.user_ids[u], dataset.item_ids[i])
-        for u in range(dataset.n_users)
-        for i in dataset.rows[u]
+        for u, row in enumerate(dataset.rows)
+        for i in row
     }
 
 
@@ -95,12 +95,25 @@ def test_load_interactions_rejects_out_of_range_age(tmp_path):
 def make_dataset(pairs):
     users = sorted({u for u, _ in pairs})
     items = sorted({i for _, i in pairs})
+    user_index = {u: n for n, u in enumerate(users)}
     item_index = {i: n for n, i in enumerate(items)}
-    rows = [
-        np.array(sorted(item_index[i] for u2, i in pairs if u2 == u), dtype=np.int64)
-        for u in users
-    ]
-    return dp.InteractionDataset(len(users), len(items), rows, users, items)
+    return dp.InteractionDataset.from_pairs(
+        np.array([user_index[u] for u, _ in pairs], dtype=np.int64),
+        np.array([item_index[i] for _, i in pairs], dtype=np.int64),
+        users,
+        items,
+    )
+
+
+def test_csr_layout_from_pairs_in_any_order():
+    dataset = make_dataset([("u2", "b"), ("u1", "c"), ("u2", "a"), ("u1", "a")])
+    assert dataset.indptr.tolist() == [0, 2, 4]
+    assert dataset.indices.tolist() == [0, 2, 0, 1]
+    assert dataset.indptr.dtype == dataset.indices.dtype == np.int64
+    assert [row.tolist() for row in dataset.rows] == [[0, 2], [0, 1]]
+    assert dataset.row(1).tolist() == [0, 1]
+    assert dataset.batch_matrix([1, 0]).tolist() == [[1, 1, 0], [1, 0, 1]]
+    assert dataset.interaction_count() == 4
 
 
 def test_k_core_fixpoint_unchanged():
@@ -146,12 +159,12 @@ def test_k_core_matches_brute_force_on_random_matrices(seed):
     for k in (2, 3):
         filtered, _, _ = dp.k_core_filter(dataset, k)
         assert dataset_pairs(filtered) == brute_force_k_core(pairs, k)
-        for u in range(filtered.n_users):
-            assert len(filtered.rows[u]) >= k
+        for row in filtered.rows:
+            assert len(row) >= k
         if filtered.n_items:
             item_deg = np.zeros(filtered.n_items, dtype=int)
-            for u in range(filtered.n_users):
-                item_deg[filtered.rows[u]] += 1
+            for row in filtered.rows:
+                item_deg[row] += 1
             assert item_deg.min() >= k
 
 
@@ -228,11 +241,73 @@ def test_cache_roundtrip_and_determinism(tmp_path):
     loaded, loaded_attrs, extra = dp.load_cache(path_a)
     assert extra == {"k_core": 5}
     assert loaded.n_users == dataset.n_users and loaded.n_items == dataset.n_items
-    for a, b in zip(loaded.rows, dataset.rows):
-        assert np.array_equal(a, b)
+    assert np.array_equal(loaded.indptr, dataset.indptr)
+    assert np.array_equal(loaded.indices, dataset.indices)
     assert np.array_equal(loaded_attrs.gender, attrs.gender)
     assert np.array_equal(loaded_attrs.age_normalized, attrs.age_normalized)
     assert loaded_attrs.age_cap == attrs.age_cap
+
+
+def _truncated_indptr(arrays, meta):
+    arrays["indptr"] = arrays["indptr"][:-1]
+
+
+def _index_past_the_catalog(arrays, meta):
+    arrays["indices"] = arrays["indices"].copy()
+    arrays["indices"][-1] = meta["n_items"]
+
+
+def _short_gender(arrays, meta):
+    arrays["gender"] = arrays["gender"][:-1]
+
+
+def _decreasing_indptr(arrays, meta):
+    arrays["indptr"] = arrays["indptr"].copy()
+    arrays["indptr"][1], arrays["indptr"][2] = arrays["indptr"][2], arrays["indptr"][1]
+
+
+def _indptr_short_of_indices(arrays, meta):
+    arrays["indices"] = np.concatenate([arrays["indices"], [0]])
+
+
+def _negative_index(arrays, meta):
+    arrays["indices"] = arrays["indices"].copy()
+    arrays["indices"][0] = -1
+
+
+def _float_indices(arrays, meta):
+    arrays["indices"] = arrays["indices"].astype(np.float64)
+
+
+def _short_age(arrays, meta):
+    arrays["age_normalized"] = arrays["age_normalized"][:-1]
+
+
+def _missing_item_ids(arrays, meta):
+    meta["item_ids"] = meta["item_ids"][:-1]
+
+
+def _missing_indices(arrays, meta):
+    del arrays["indices"]
+
+
+@pytest.mark.parametrize("corrupt", [
+    _truncated_indptr, _index_past_the_catalog, _short_gender, _decreasing_indptr,
+    _indptr_short_of_indices, _negative_index, _float_indices, _short_age, _missing_item_ids,
+    _missing_indices,
+])
+def test_load_cache_rejects_inconsistent_caches(tmp_path, corrupt):
+    from advrec.container import load_container, save_container
+    from advrec.synthetic import planted_dataset
+
+    dataset, attrs = planted_dataset(n_users=20, n_items=15, seed=4, items_low=3, items_high=6)
+    path = str(tmp_path / "a.cache")
+    dp.save_cache(path, dataset, attrs)
+    arrays, meta = load_container(path)
+    corrupt(arrays, meta)
+    save_container(path, arrays, meta)
+    with pytest.raises(DataError):
+        dp.load_cache(path)
 
 
 def test_id_maps_are_bijections(tmp_path):
@@ -258,6 +333,9 @@ def test_item_subsample_keeps_requested_items():
     assert len(keep_items) == 10
     again, _, again_items = dp.item_subsample(dataset, 10, seed=0)
     assert np.array_equal(again_items, keep_items)
+    kept = set(keep_items.tolist())
+    assert keep_users.tolist() == [u for u, row in enumerate(dataset.rows) if kept & set(row.tolist())]
+    assert dataset_pairs(sub) == {pair for pair in dataset_pairs(dataset) if int(pair[1][1:]) in kept}
 
 
 def test_dataset_stats_fields():

@@ -10,11 +10,11 @@ def make_params(n_items=8, d_hidden=6, d_latent=4, seed=0):
     rng = np.random.default_rng(seed)
     enc = mv.init_encoder(n_items, d_hidden, d_latent, rng)
     dec = mv.init_decoder(n_items, d_hidden, d_latent, rng)
-    return enc, dec
+    return {**enc, **dec}
 
 
-def as_leaves(tape, enc, dec):
-    return mv.leaves_like(tape, enc, "enc"), mv.leaves_like(tape, dec, "dec")
+def as_leaves(tape, params):
+    return {name: tape.leaf(arr, name=name) for name, arr in params.items()}
 
 
 def random_x(n_rows, n_items, seed=0, density=0.4):
@@ -25,38 +25,33 @@ def random_x(n_rows, n_items, seed=0, density=0.4):
 
 
 def test_encode_deterministic_given_seed():
-    enc, _ = make_params()
+    params = make_params()
     x = random_x(3, 8, seed=1)
     outs = []
     for _ in range(2):
-        tape = ad.Tape()
-        enc_t = mv.leaves_like(tape, enc, "enc")
-        state = mv.encode(x, enc_t, 1.0, np.random.default_rng(42), training=True)
+        state = mv.encode(x, as_leaves(ad.Tape(), params), 1.0, np.random.default_rng(42), training=True)
         outs.append((state.mu.data.copy(), state.logsigma.data.copy()))
     assert np.array_equal(outs[0][0], outs[1][0])
     assert np.array_equal(outs[0][1], outs[1][1])
 
 
 def test_encode_zero_weights_gives_bias():
-    enc, _ = make_params()
-    for name in ("hidden_w", "mu_w", "logsigma_w"):
-        setattr(enc, name, np.zeros_like(getattr(enc, name)))
-    enc.mu_b = np.full(4, 0.7)
-    enc.logsigma_b = np.full(4, -0.3)
-    tape = ad.Tape()
-    enc_t = mv.leaves_like(tape, enc, "enc")
-    state = mv.encode(random_x(5, 8), enc_t, 1.0, None, training=False)
+    params = make_params()
+    for name in ("enc.hidden_w", "enc.mu_w", "enc.logsigma_w"):
+        params[name] = np.zeros_like(params[name])
+    params["enc.mu_b"] = np.full(4, 0.7)
+    params["enc.logsigma_b"] = np.full(4, -0.3)
+    state = mv.encode(random_x(5, 8), as_leaves(ad.Tape(), params), 1.0, None, training=False)
     assert np.allclose(state.mu.data, 0.7)
     assert np.allclose(state.logsigma.data, -0.3)
 
 
 def test_encode_rows_are_independent():
-    enc, _ = make_params()
+    params = make_params()
     x = np.zeros((1, 8))
     x[0, 3] = 1.0
     x2 = np.vstack([x, x])
-    tape = ad.Tape()
-    enc_t = mv.leaves_like(tape, enc, "enc")
+    enc_t = as_leaves(ad.Tape(), params)
     one = mv.encode(x, enc_t, 1.0, None, training=False)
     two = mv.encode(x2, enc_t, 1.0, None, training=False)
     # identical rows in one batch encode identically ...
@@ -67,9 +62,7 @@ def test_encode_rows_are_independent():
 
 
 def test_encode_rejects_non_binary_and_allows_zero_rows():
-    enc, _ = make_params()
-    tape = ad.Tape()
-    enc_t = mv.leaves_like(tape, enc, "enc")
+    enc_t = as_leaves(ad.Tape(), make_params())
     with pytest.raises(ContractError):
         mv.encode(np.full((1, 8), 0.5), enc_t, 1.0, None, training=False)
     out = mv.encode(np.zeros((2, 8)), enc_t, 1.0, None, training=False)
@@ -77,17 +70,13 @@ def test_encode_rejects_non_binary_and_allows_zero_rows():
 
 
 def test_encode_rejects_bad_dropout_keep():
-    enc, _ = make_params()
-    tape = ad.Tape()
-    enc_t = mv.leaves_like(tape, enc, "enc")
+    enc_t = as_leaves(ad.Tape(), make_params())
     with pytest.raises(ConfigError):
         mv.encode(random_x(1, 8), enc_t, 0.0, None, training=False)
 
 
 def test_reparameterize_eval_returns_mu_bitwise():
-    enc, _ = make_params()
-    tape = ad.Tape()
-    enc_t = mv.leaves_like(tape, enc, "enc")
+    enc_t = as_leaves(ad.Tape(), make_params())
     state = mv.encode(random_x(4, 8), enc_t, 1.0, None, training=False)
     z = mv.reparameterize(state, np.random.default_rng(0), training=False)
     assert z is state.mu
@@ -111,12 +100,12 @@ def test_reparameterize_sample_mean_matches_prior():
 
 
 def test_decode_zero_weights_and_empty_batch():
-    _, dec = make_params()
-    dec.hidden_w = np.zeros_like(dec.hidden_w)
-    dec.out_w = np.zeros_like(dec.out_w)
-    dec.out_b = np.arange(8.0)
+    params = make_params()
+    params["dec.hidden_w"] = np.zeros_like(params["dec.hidden_w"])
+    params["dec.out_w"] = np.zeros_like(params["dec.out_w"])
+    params["dec.out_b"] = np.arange(8.0)
     tape = ad.Tape()
-    dec_t = mv.leaves_like(tape, dec, "dec")
+    dec_t = as_leaves(tape, params)
     z = tape.constant(np.random.default_rng(0).standard_normal((3, 4)))
     logits = mv.decode(z, dec_t)
     assert np.allclose(logits.data, np.arange(8.0))
@@ -125,20 +114,17 @@ def test_decode_zero_weights_and_empty_batch():
 
 
 def test_decode_dimension_mismatch():
-    _, dec = make_params()
     tape = ad.Tape()
-    dec_t = mv.leaves_like(tape, dec, "dec")
+    dec_t = as_leaves(tape, make_params())
     with pytest.raises(DimensionError):
         mv.decode(tape.constant(np.zeros((2, 7))), dec_t)
 
 
 def test_roundtrip_shape():
-    enc, dec = make_params()
     x = random_x(5, 8)
-    tape = ad.Tape()
-    enc_t, dec_t = as_leaves(tape, enc, dec)
-    state = mv.encode(x, enc_t, 1.0, None, training=False)
-    logits = mv.decode(state.mu, dec_t)
+    leaves = as_leaves(ad.Tape(), make_params())
+    state = mv.encode(x, leaves, 1.0, None, training=False)
+    logits = mv.decode(state.mu, leaves)
     assert logits.data.shape == x.shape
 
 
@@ -190,11 +176,11 @@ def test_kl_gaussian_nonnegative():
 
 
 def test_multvae_loss_beta_zero_equals_nll():
-    enc, dec = make_params()
+    params = make_params()
     x = random_x(5, 8, seed=3)
     loss, parts = mv.multvae_loss(
         x,
-        *as_leaves(ad.Tape(), enc, dec),
+        as_leaves(ad.Tape(), params),
         beta=0.0,
         rng=np.random.default_rng(1),
         training=True,
@@ -204,14 +190,14 @@ def test_multvae_loss_beta_zero_equals_nll():
 
 
 def test_multvae_loss_zero_information_encoder():
-    enc, dec = make_params()
-    for name in ("hidden_w", "mu_w", "logsigma_w"):
-        setattr(enc, name, np.zeros_like(getattr(enc, name)))
+    params = make_params()
+    for name in ("enc.hidden_w", "enc.mu_w", "enc.logsigma_w"):
+        params[name] = np.zeros_like(params[name])
     # biases already zero: mu = 0 and logsigma = 0, so the KL term vanishes
     x = random_x(5, 8, seed=4)
     loss, parts = mv.multvae_loss(
         x,
-        *as_leaves(ad.Tape(), enc, dec),
+        as_leaves(ad.Tape(), params),
         beta=1.0,
         rng=np.random.default_rng(1),
         training=False,
@@ -221,52 +207,44 @@ def test_multvae_loss_zero_information_encoder():
 
 
 def test_multvae_loss_gradients_match_finite_differences():
-    enc, dec = make_params(n_items=8, d_hidden=6, d_latent=4, seed=7)
+    params = make_params(n_items=8, d_hidden=6, d_latent=4, seed=7)
     x = random_x(5, 8, seed=8)
-    names = [name for name, _ in mv.named_arrays(enc, "enc")] + [
-        name for name, _ in mv.named_arrays(dec, "dec")
-    ]
+    names = list(params)
+    arrays = list(params.values())
 
-    def build(arrays):
-        by_name = dict(zip(names, arrays))
+    def build(arrs):
         tape = ad.Tape()
-        enc_t = mv.EncoderParams(**{k.split(".")[1]: tape.leaf(v, k) for k, v in by_name.items() if k.startswith("enc.")})
-        dec_t = mv.DecoderParams(**{k.split(".")[1]: tape.leaf(v, k) for k, v in by_name.items() if k.startswith("dec.")})
+        leaves = as_leaves(tape, dict(zip(names, arrs)))
         loss, _ = mv.multvae_loss(
-            x, enc_t, dec_t, beta=0.7, rng=np.random.default_rng(99), training=True, dropout_keep=0.8
+            x, leaves, beta=0.7, rng=np.random.default_rng(99), training=True, dropout_keep=0.8
         )
-        leaves = list(mv.named_arrays(enc_t, "enc")) + list(mv.named_arrays(dec_t, "dec"))
-        return loss, tape, [t for _, t in leaves]
+        return loss, tape, leaves
 
-    arrays = [arr for _, arr in mv.named_arrays(enc, "enc")] + [
-        arr for _, arr in mv.named_arrays(dec, "dec")
-    ]
     loss, tape, leaves = build(arrays)
     grads = tape.backward(loss)
 
-    def f(params):
-        value, _, _ = build(params)
+    def f(arrs):
+        value, _, _ = build(arrs)
         return float(value.data)
 
-    err = ad.finite_difference_check(f, arrays, [grads[t] for t in leaves])
+    err = ad.finite_difference_check(f, arrays, [grads[leaves[name]] for name in names])
     assert err < 1e-4
 
 
 def test_eval_path_matches_tape_path_bitwise():
-    enc, dec = make_params(seed=13)
+    params = make_params(seed=13)
     x = random_x(6, 8, seed=13)
-    tape = ad.Tape()
-    enc_t, dec_t = as_leaves(tape, enc, dec)
-    state = mv.encode(x, enc_t, 0.5, None, training=False)
+    leaves = as_leaves(ad.Tape(), params)
+    state = mv.encode(x, leaves, 0.5, None, training=False)
     z = mv.reparameterize(state, None, training=False)
-    logits = mv.decode(z, dec_t)
-    assert np.array_equal(mv.encode_eval(x, enc), state.mu.data)
-    assert np.array_equal(mv.scores_eval(x, enc, dec), logits.data)
+    logits = mv.decode(z, leaves)
+    assert np.array_equal(mv.encode_eval(x, params), state.mu.data)
+    assert np.array_equal(mv.scores_eval(x, params), logits.data)
 
 
 def test_eval_rankings_are_stable_across_passes():
-    enc, dec = make_params(seed=21)
+    params = make_params(seed=21)
     x = random_x(10, 8, seed=21)
-    first = np.argsort(-mv.scores_eval(x, enc, dec), axis=1)
-    second = np.argsort(-mv.scores_eval(x, enc, dec), axis=1)
+    first = np.argsort(-mv.scores_eval(x, params), axis=1)
+    second = np.argsort(-mv.scores_eval(x, params), axis=1)
     assert np.array_equal(first, second)

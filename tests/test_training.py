@@ -35,7 +35,7 @@ def tiny_setup(n_users=100, n_items=40, seed=0, **config_kw):
 def enc_dec_bytes(model):
     return [
         (name, arr.tobytes())
-        for name, arr in model.named()
+        for name, arr in model.items()
         if name.startswith(("enc.", "dec."))
     ]
 
@@ -83,7 +83,7 @@ def test_training_is_bit_deterministic():
         dataset, attrs, fold, config = tiny_setup(lambdas={"gender": 1.0, "age": 1.0})
         specs = tr.build_specs(attrs, config.lambdas, fold.split.train)
         result = tr.train_adversarial_phase(dataset, attrs, specs, fold, config)
-        results.append(tr.params_hash(result.final_params.named()))
+        results.append(tr.params_hash(result.final_params.items()))
     assert results[0] == results[1]
 
 
@@ -96,6 +96,8 @@ def test_epoch_log_length_matches_configuration():
                                    tr.build_specs(attrs, {"gender": 0.0}, fold.split.train),
                                    fold, config)
     assert len(attack.log) == 3
+    nothing = tr.train_attack_phase(result.final_params, dataset, attrs, [], fold, config)
+    assert nothing.log == [{"epoch": e} for e in range(3)] and nothing.metrics == {}
 
 
 def test_zero_lambda_run_matches_plain_training_bitwise():
@@ -137,17 +139,14 @@ def test_attack_phase_leaves_model_frozen():
     dataset, attrs, fold, config = tiny_setup(lambdas={"gender": 0.0})
     specs = tr.build_specs(attrs, config.lambdas, fold.split.train)
     result = tr.train_adversarial_phase(dataset, attrs, specs, fold, config)
-    before = tr.params_hash(
-        (n, a) for n, a in result.final_params.named() if n.startswith(("enc.", "dec."))
-    )
+    before = tr.params_hash(result.final_params.items())
     tr.train_attack_phase(result.final_params, dataset, attrs, specs, fold, config)
-    after = tr.params_hash(
-        (n, a) for n, a in result.final_params.named() if n.startswith(("enc.", "dec."))
-    )
+    after = tr.params_hash(result.final_params.items())
     assert before == after
-    frozen = result.final_params.frozen_copy()
+    frozen = adv.frozen(result.final_params)
+    assert np.array_equal(frozen["enc.hidden_w"], result.final_params["enc.hidden_w"])
     with pytest.raises(ValueError):
-        frozen.encoder.hidden_w[0, 0] = 1.0  # numpy blocks writes to frozen arrays
+        frozen["enc.hidden_w"][0, 0] = 1.0  # numpy blocks writes to frozen arrays
 
 
 def test_chunked_encoding_matches_one_full_matrix():
@@ -237,7 +236,7 @@ def test_grid_records_do_not_depend_on_worker_count():
     assert not serial.failures and not pooled.failures
     assert [r.result_row() for r in pooled.records] == [r.result_row() for r in serial.records]
     for a, b in zip(serial.records, pooled.records):
-        assert tr.params_hash(a.params.named()) == tr.params_hash(b.params.named())
+        assert tr.params_hash(a.params.items()) == tr.params_hash(b.params.items())
 
 
 def test_grid_results_do_not_depend_on_combination_order():
