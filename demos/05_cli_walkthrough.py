@@ -11,7 +11,8 @@ from pathlib import Path
 
 from advrec.synthetic import planted_dataset
 
-workdir = Path(tempfile.mkdtemp(prefix="advrec-demo-"))
+work = tempfile.TemporaryDirectory(prefix="advrec-demo-")  # removed when the demo exits
+workdir = Path(work.name)
 print(f"working in {workdir}")
 
 dataset, attrs = planted_dataset(n_users=120, n_items=40, seed=2, items_low=5, items_high=14)

@@ -241,12 +241,22 @@ def total_objective(
     )
 
 
-def attacker_forward_eval(latents: Array, attackers: dict[str, Array], spec: AttributeSpec) -> Array:
-    """Attacker prediction from latent means: :func:`adv_forward` on constants."""
+def attacker_predictions(
+    latents: Array, attackers: dict[str, Array], specs: list[AttributeSpec]
+) -> dict[str, Array]:
+    """Each spec's attacker prediction from latent means, by attribute name:
+    the argmax class of a categorical attribute, the value of a continuous
+    one. :func:`adv_forward` on constants."""
     tape = Tape()
     constants = {name: tape.constant(arr, name=name) for name, arr in attackers.items()}
     z = tape.constant(latents, name="latents")
-    return adv_forward(z, constants, spec, reversed=False, role="attacker").data
+    predictions = {}
+    for spec in specs:
+        if f"attacker.{spec.name}.out_b" not in attackers:
+            raise DataError(f"no attacker for attribute {spec.name!r}; run the attack command for it")
+        out = adv_forward(z, constants, spec, reversed=False, role="attacker").data
+        predictions[spec.name] = out.argmax(axis=1) if spec.kind == CATEGORICAL else out.reshape(-1)
+    return predictions
 
 
 def attacker_loss_graph(

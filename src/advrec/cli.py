@@ -8,9 +8,7 @@ import json
 import logging
 import os
 import sys
-import tempfile
-
-import numpy as np
+from dataclasses import dataclass
 
 from . import __version__
 from . import adversarial as adv
@@ -18,24 +16,15 @@ from . import data as dp
 from . import evaluation as ev
 from . import training as tr
 from .config import RunConfig, apply_lambda_flags, apply_seed, load_config
-from .container import save_container
+from .container import atomic_open, save_container
 from .errors import AdvrecError, ConfigError, DataError
 
 log = logging.getLogger("advrec")
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+def write_json(path: str, obj: dict) -> None:
+    with atomic_open(path) as fh:
+        fh.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
 def file_sha256(path: str) -> str:
@@ -60,7 +49,7 @@ def write_manifest(directory: str, config: RunConfig, **extra) -> None:
     if cache and os.path.exists(cache):
         manifest["dataset_sha256"] = file_sha256(cache)
     manifest.update(extra)
-    atomic_write_text(os.path.join(directory, "manifest.json"), json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    write_json(os.path.join(directory, "manifest.json"), manifest)
 
 
 def load_dataset(config: RunConfig):
@@ -71,20 +60,52 @@ def load_dataset(config: RunConfig):
     return dataset, attrs
 
 
-def fold_for(config: RunConfig, dataset) -> dp.FoldData:
-    splits = dp.make_folds(dataset.n_users, config["train.data_seed"], config["train.n_folds"])
-    fold_index = config["train.fold"]
-    if not 0 <= fold_index < len(splits):
-        raise ConfigError(f"train.fold={fold_index} outside 0..{len(splits) - 1}")
-    return dp.prepare_fold(dataset, splits[fold_index], config["train.holdout_ratio"], config["train.data_seed"])
+@dataclass
+class FoldRun:
+    """What train, attack, eval and export-embeddings share: the cached data,
+    the configured fold, the train settings and the run's output directory."""
 
+    config: RunConfig
+    dataset: dp.InteractionDataset
+    attrs: dp.UserAttributes
+    fold: dp.FoldData
+    train: tr.TrainConfig
+    label: str
+    out_dir: str
 
-def run_directory(config: RunConfig, lambdas: dict, fold_index: int) -> str:
-    return os.path.join(config["out.dir"], tr.model_label(lambdas), f"fold{fold_index}")
+    @classmethod
+    def of(cls, config: RunConfig) -> "FoldRun":
+        dataset, attrs = load_dataset(config)
+        splits = dp.make_folds(dataset.n_users, config["train.data_seed"], config["train.n_folds"])
+        fold_index = config["train.fold"]
+        if not 0 <= fold_index < len(splits):
+            raise ConfigError(f"train.fold={fold_index} outside 0..{len(splits) - 1}")
+        fold = dp.prepare_fold(dataset, splits[fold_index], config["train.holdout_ratio"], config["train.data_seed"])
+        train = config.train_config()
+        label = tr.model_label(train.lambdas)
+        return cls(config, dataset, attrs, fold, train, label,
+                   os.path.join(config["out.dir"], label, f"fold{fold_index}"))
 
+    def specs(self) -> list[adv.AttributeSpec]:
+        return tr.build_specs(self.attrs, self.train.lambdas, self.fold.split.train, self.train.continuous_head)
 
-def lambda_columns(lambdas: dict) -> dict:
-    return {f"lambda_{name}": float(lam) for name, lam in lambdas.items()}
+    def model(self) -> adv.Params:
+        """The run's checkpoint, once it fits the dataset's catalog."""
+        path = os.path.join(self.out_dir, "checkpoint.bin")
+        if not os.path.exists(path):
+            raise DataError(f"no checkpoint at {path!r}; run the train command first")
+        model, _ = adv.load_checkpoint(path)
+        if model["enc.hidden_w"].shape[0] != self.dataset.n_items:
+            raise DataError(
+                f"checkpoint expects {model['enc.hidden_w'].shape[0]} items, dataset has {self.dataset.n_items}"
+            )
+        return model
+
+    def write_result(self, name: str, metrics: dict) -> dict:
+        """Write the one-row results CSV ``name`` and return its row."""
+        row = tr.result_row(self.config["data.name"], self.train.lambdas, self.fold.index, metrics)
+        ev.write_rows_csv(os.path.join(self.out_dir, name), [row])
+        return row
 
 
 def cmd_preprocess(config: RunConfig) -> int:
@@ -108,7 +129,7 @@ def cmd_preprocess(config: RunConfig) -> int:
         raise DataError("k-core filtering removed every user; nothing to cache")
     dp.save_cache(cache_path, dataset, attrs, extra_meta={"preprocess": steps})
     stats = dp.dataset_stats(dataset, attrs)
-    atomic_write_text(cache_path + ".stats.json", json.dumps(stats, sort_keys=True, indent=2) + "\n")
+    write_json(cache_path + ".stats.json", stats)
     print(f"dataset: {config['data.name']}")
     print(f"  users          {stats['users']}")
     print(f"  items          {stats['items']}")
@@ -122,83 +143,47 @@ def cmd_preprocess(config: RunConfig) -> int:
 
 
 def cmd_train(config: RunConfig) -> int:
-    dataset, attrs = load_dataset(config)
-    fold = fold_for(config, dataset)
-    train_config = config.train_config()
-    specs = tr.build_specs(attrs, train_config.lambdas, fold.split.train, train_config.continuous_head)
-    label = tr.model_label(train_config.lambdas)
-    out_dir = run_directory(config, train_config.lambdas, fold.index)
-    log.info("training %s on fold %d (%d train users)", label, fold.index, len(fold.split.train))
-    result = tr.train_adversarial_phase(dataset, attrs, specs, fold, train_config)
-    selected = result.selected(train_config.selection)
-    os.makedirs(out_dir, exist_ok=True)
-    adv.save_checkpoint(os.path.join(out_dir, "checkpoint.bin"), selected, train_config.to_meta())
-    fieldnames = list(result.log[0].keys()) if result.log else ["epoch"]
-    ev.write_rows_csv(os.path.join(out_dir, "train_log.csv"), fieldnames, result.log)
-    write_manifest(out_dir, config, command="train", model=label, fold=fold.index,
+    run = FoldRun.of(config)
+    log.info("training %s on fold %d (%d train users)", run.label, run.fold.index, len(run.fold.split.train))
+    result = tr.train_adversarial_phase(run.dataset, run.attrs, run.specs(), run.fold, run.train)
+    adv.save_checkpoint(os.path.join(run.out_dir, "checkpoint.bin"), result.selected(run.train.selection),
+                        run.train.to_meta())
+    ev.write_rows_csv(os.path.join(run.out_dir, "train_log.csv"), result.log)
+    write_manifest(run.out_dir, config, command="train", model=run.label, fold=run.fold.index,
                    best_epoch=result.best_epoch, best_val_ndcg=result.best_val_ndcg)
-    print(f"{label} fold {fold.index}: checkpoint + log in {out_dir}")
+    print(f"{run.label} fold {run.fold.index}: checkpoint + log in {run.out_dir}")
     return 0
 
 
-def _require_checkpoint(out_dir: str) -> str:
-    path = os.path.join(out_dir, "checkpoint.bin")
-    if not os.path.exists(path):
-        raise DataError(f"no checkpoint at {path!r}; run the train command first")
-    return path
-
-
 def cmd_attack(config: RunConfig) -> int:
-    dataset, attrs = load_dataset(config)
-    fold = fold_for(config, dataset)
-    train_config = config.train_config()
-    label = tr.model_label(train_config.lambdas)
-    out_dir = run_directory(config, train_config.lambdas, fold.index)
-    model, _ = adv.load_checkpoint(_require_checkpoint(out_dir))
-    specs = tr.build_specs(attrs, train_config.lambdas, fold.split.train, train_config.continuous_head)
-    result = tr.train_attack_phase(model, dataset, attrs, specs, fold, train_config)
+    run = FoldRun.of(config)
+    model = run.model()
+    specs = run.specs()
+    result = tr.train_attack_phase(model, run.dataset, run.attrs, specs, run.fold, run.train)
     adv.save_attacker(
-        os.path.join(out_dir, "attacker.bin"),
+        os.path.join(run.out_dir, "attacker.bin"),
         result.heads,
-        {"model": label, "fold": fold.index, "attributes": json.loads(adv.specs_meta(specs))},
+        {"model": run.label, "fold": run.fold.index, "attributes": json.loads(adv.specs_meta(specs))},
     )
-    score_arrays = {k: np.asarray(v) for k, v in result.per_user.items()}
     save_container(
-        os.path.join(out_dir, "attack_scores.bin"), score_arrays,
-        {"kind": "attack-scores", "model": label, "fold": fold.index},
+        os.path.join(run.out_dir, "attack_scores.bin"), result.per_user,
+        {"kind": "attack-scores", "model": run.label, "fold": run.fold.index},
     )
-    row = {"dataset": config["data.name"], "model": label, **lambda_columns(train_config.lambdas),
-           "fold": fold.index}
-    row.update({key: ev.as_percent(value) for key, value in result.metrics.items()})
-    ev.write_rows_csv(os.path.join(out_dir, "attack_metrics.csv"), list(row.keys()), [row])
+    run.write_result("attack_metrics.csv", result.metrics)
     printable = ", ".join(f"{k}={ev.as_percent(v):.2f}" for k, v in result.metrics.items())
-    print(f"{label} fold {fold.index}: {printable}")
+    print(f"{run.label} fold {run.fold.index}: {printable}")
     return 0
 
 
 def cmd_eval(config: RunConfig) -> int:
-    dataset, attrs = load_dataset(config)
-    fold = fold_for(config, dataset)
-    train_config = config.train_config()
-    label = tr.model_label(train_config.lambdas)
-    out_dir = run_directory(config, train_config.lambdas, fold.index)
-    model, _ = adv.load_checkpoint(_require_checkpoint(out_dir))
-    ndcg, recall, evaluated = tr.evaluate_ranking(
-        model, dataset, fold.test_foldin, fold.test_holdout, train_config
-    )
+    run = FoldRun.of(config)
+    metrics, per_user = tr.rank_test_fold(run.model(), run.dataset, run.fold, run.train)
     save_container(
-        os.path.join(out_dir, "eval_scores.bin"),
-        {"test_users": fold.split.test, "ndcg": ndcg, "recall": recall, "evaluated": evaluated},
-        {"kind": "eval-scores", "model": label, "fold": fold.index},
+        os.path.join(run.out_dir, "eval_scores.bin"), per_user,
+        {"kind": "eval-scores", "model": run.label, "fold": run.fold.index},
     )
-    row = {
-        "dataset": config["data.name"], "model": label, **lambda_columns(train_config.lambdas),
-        "fold": fold.index,
-        "ndcg@10": ev.as_percent(float(ndcg[evaluated].mean())) if evaluated.any() else 0.0,
-        "recall@10": ev.as_percent(float(recall[evaluated].mean())) if evaluated.any() else 0.0,
-    }
-    ev.write_rows_csv(os.path.join(out_dir, "metrics.csv"), list(row.keys()), [row])
-    print(f"{label} fold {fold.index}: ndcg@10={row['ndcg@10']:.2f} recall@10={row['recall@10']:.2f}")
+    row = run.write_result("metrics.csv", metrics)
+    print(f"{run.label} fold {run.fold.index}: ndcg@10={row['ndcg@10']:.2f} recall@10={row['recall@10']:.2f}")
     return 0
 
 
@@ -219,27 +204,18 @@ def cmd_grid(config: RunConfig, workers: int) -> int:
         dataset, attrs, grid, folds, train_config, dataset_name=config["data.name"], workers=workers
     )
     grid_dir = os.path.join(config["out.dir"], "grid")
-    os.makedirs(grid_dir, exist_ok=True)
-    rows = [record.result_row() for record in outcome.records]
-    if rows:
-        ev.write_rows_csv(os.path.join(grid_dir, "results.csv"), list(rows[0].keys()), rows)
+    if outcome.records:
+        ev.write_rows_csv(os.path.join(grid_dir, "results.csv"), [r.result_row() for r in outcome.records])
     for record in outcome.records:
         combo_label = "_".join(f"{name}{lam:g}" for name, lam in record.lambdas.items())
-        run_dir = os.path.join(grid_dir, combo_label, f"fold{record.fold}")
         save_container(
-            os.path.join(run_dir, "user_scores.bin"),
-            {k: np.asarray(v) for k, v in record.per_user.items()},
+            os.path.join(grid_dir, combo_label, f"fold{record.fold}", "user_scores.bin"), record.per_user,
             {"kind": "user-scores", "model": record.model, "fold": record.fold,
              "lambdas": {k: float(v) for k, v in record.lambdas.items()}},
         )
     summary = tr.grid_summary(outcome.records)
     if summary:
-        fieldnames: list[str] = []
-        for row in summary:
-            for key in row:
-                if key not in fieldnames:
-                    fieldnames.append(key)
-        ev.write_rows_csv(os.path.join(grid_dir, "summary.csv"), fieldnames, summary)
+        ev.write_rows_csv(os.path.join(grid_dir, "summary.csv"), summary)
     write_manifest(grid_dir, config, command="grid",
                    combinations=len(combos), folds=len(folds),
                    failures=[{"lambdas": lam, "fold": fold} for lam, fold, _ in outcome.failures])
@@ -250,45 +226,32 @@ def cmd_grid(config: RunConfig, workers: int) -> int:
 
 
 def cmd_export_embeddings(config: RunConfig) -> int:
-    dataset, attrs = load_dataset(config)
-    fold = fold_for(config, dataset)
-    train_config = config.train_config()
-    out_dir = run_directory(config, train_config.lambdas, fold.index)
-    model, _ = adv.load_checkpoint(_require_checkpoint(out_dir))
-    attacker_path = os.path.join(out_dir, "attacker.bin")
+    run = FoldRun.of(config)
+    model = run.model()
+    attacker_path = os.path.join(run.out_dir, "attacker.bin")
     if not os.path.exists(attacker_path):
         raise DataError(f"no attacker at {attacker_path!r}; run the attack command first")
     heads, _ = adv.load_attacker(attacker_path)
-    specs = tr.build_specs(attrs, train_config.lambdas, fold.split.train, train_config.continuous_head)
-    if model["enc.hidden_w"].shape[0] != dataset.n_items:
-        raise DataError(
-            f"checkpoint expects {model['enc.hidden_w'].shape[0]} items, dataset has {dataset.n_items}"
-        )
+    specs = run.specs()
+    test_users = run.fold.split.test
+    latents = tr.encode_users(run.dataset, test_users, model, run.train.activation)
+    predictions = adv.attacker_predictions(latents, heads, specs)
+    targets = run.attrs.targets()
 
-    test_users = fold.split.test
-    latents = tr.encode_users(dataset, test_users, model, train_config.activation)
-    predictions = {}
-    for spec in specs:
-        raw = adv.attacker_forward_eval(latents, heads, spec)
-        predictions[spec.name] = raw.argmax(axis=1) if spec.kind == adv.CATEGORICAL else raw.reshape(-1)
+    def cell(spec, value) -> str:
+        return str(int(value)) if spec.kind == adv.CATEGORICAL else f"{value:.17g}"
 
-    truths = {name: values[test_users] for name, values in attrs.targets().items() if name in predictions}
-    d_latent = latents.shape[1]
-    header = ["user_id"] + [f"z{i}" for i in range(d_latent)]
+    header = ["user_id"] + [f"z{i}" for i in range(latents.shape[1])]
     header += [f"pred_{spec.name}" for spec in specs] + [f"true_{spec.name}" for spec in specs]
     lines = ["\t".join(header)]
     for i, user in enumerate(test_users):
-        parts = [dataset.user_ids[user]]
-        parts += [f"{value:.17g}" for value in latents[i]]
-        for spec in specs:
-            value = predictions[spec.name][i]
-            parts.append(str(int(value)) if spec.kind == adv.CATEGORICAL else f"{value:.17g}")
-        for spec in specs:
-            value = truths[spec.name][i]
-            parts.append(str(int(value)) if spec.kind == adv.CATEGORICAL else f"{value:.17g}")
+        parts = [run.dataset.user_ids[user]] + [f"{value:.17g}" for value in latents[i]]
+        parts += [cell(spec, predictions[spec.name][i]) for spec in specs]
+        parts += [cell(spec, targets[spec.name][user]) for spec in specs]
         lines.append("\t".join(parts))
-    out_path = os.path.join(out_dir, "embeddings.tsv")
-    atomic_write_text(out_path, "\n".join(lines) + "\n")
+    out_path = os.path.join(run.out_dir, "embeddings.tsv")
+    with atomic_open(out_path) as fh:
+        fh.write("\n".join(lines) + "\n")
     print(f"wrote {len(test_users)} rows to {out_path}")
     return 0
 
@@ -330,19 +293,11 @@ def main(argv=None) -> int:
         if args.seed is not None:
             apply_seed(config, args.seed)
         apply_lambda_flags(config, args.lambdas)
-        if args.command == "preprocess":
-            return cmd_preprocess(config)
-        if args.command == "train":
-            return cmd_train(config)
-        if args.command == "attack":
-            return cmd_attack(config)
-        if args.command == "eval":
-            return cmd_eval(config)
         if args.command == "grid":
             return cmd_grid(config, max(1, args.workers))
-        if args.command == "export-embeddings":
-            return cmd_export_embeddings(config)
-        raise ConfigError(f"unknown command {args.command!r}")
+        command = {"preprocess": cmd_preprocess, "train": cmd_train, "attack": cmd_attack, "eval": cmd_eval,
+                   "export-embeddings": cmd_export_embeddings}[args.command]
+        return command(config)
     except AdvrecError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

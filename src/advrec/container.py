@@ -3,11 +3,13 @@
 Layout: magic, 8-byte little-endian header length, UTF-8 JSON header, then
 the raw C-order bytes of every array in sorted name order. No timestamps
 and sorted keys throughout, so identical content produces identical bytes.
-Files are written atomically (temp file then rename).
+Files are written atomically (temp file then rename) by :func:`atomic_open`,
+which every file the package writes goes through.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import tempfile
@@ -20,6 +22,23 @@ MAGIC = b"ADVREC1\n"
 FORMAT_VERSION = 1
 
 _ALLOWED_DTYPES = {"<f8", "<i8", "|b1"}
+
+
+@contextlib.contextmanager
+def atomic_open(path: str, mode: str = "w"):
+    """A temporary file beside ``path`` that replaces it when the block ends,
+    and is removed if the block fails. Text is UTF-8, newlines as written."""
+    directory = os.path.dirname(os.path.abspath(path)) or "."
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(fd, mode, **({} if "b" in mode else {"encoding": "utf-8", "newline": ""})) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def save_container(path: str, arrays: dict[str, np.ndarray], meta: dict | None = None) -> None:
@@ -40,21 +59,12 @@ def save_container(path: str, arrays: dict[str, np.ndarray], meta: dict | None =
     header = {"format_version": FORMAT_VERSION, "meta": meta or {}, "arrays": entries}
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(len(header_bytes).to_bytes(8, "little"))
-            fh.write(header_bytes)
-            for raw in blobs:
-                fh.write(raw)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with atomic_open(path, "wb") as fh:
+        fh.write(MAGIC)
+        fh.write(len(header_bytes).to_bytes(8, "little"))
+        fh.write(header_bytes)
+        for raw in blobs:
+            fh.write(raw)
 
 
 def load_container(path: str) -> tuple[dict[str, np.ndarray], dict]:

@@ -1,80 +1,79 @@
-"""Ranking metrics, debiasing metrics and paired significance tests."""
+"""Ranking metrics, debiasing metrics and paired significance tests.
+
+Ranking works per chunk of users: :func:`ranking_metrics` masks, selects,
+sorts and scores a whole score matrix at once, with no loop over users.
+"""
 
 from __future__ import annotations
 
 import csv
 import math
-import os
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import betainc
 
+from .container import atomic_open
 from .errors import ConfigError, ContractError, DataError
 
 
-def ndcg_at_k(ranked_items, holdout_set, k: int = 10, foldin_set=None) -> float:
-    """Binary-relevance NDCG of the top-k ranking against the holdout items."""
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
-    holdout = set(int(i) for i in holdout_set)
-    if not holdout:
-        raise ContractError("ndcg is undefined for an empty holdout set")
-    top = [int(i) for i in ranked_items[:k]]
-    if foldin_set is not None:
-        overlap = set(top) & set(int(i) for i in foldin_set)
-        if overlap:
-            raise ContractError(f"ranking contains fold-in items {sorted(overlap)}")
-    dcg = sum(1.0 / math.log2(pos + 2) for pos, item in enumerate(top) if item in holdout)
-    ideal = sum(1.0 / math.log2(pos + 2) for pos in range(min(k, len(holdout))))
-    return dcg / ideal
+def _dcg(positions) -> float:
+    """Binary-relevance DCG of hits at 0-based rank ``positions``, added in
+    rank order by Python's ``sum`` (compensated from Python 3.12 on)."""
+    return sum(1.0 / math.log2(pos + 2) for pos in positions)
 
 
-def recall_at_k(ranked_items, holdout_set, k: int = 10, foldin_set=None) -> float:
-    """Fraction of reachable holdout items present in the top-k ranking."""
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
-    holdout = set(int(i) for i in holdout_set)
-    if not holdout:
-        raise ContractError("recall is undefined for an empty holdout set")
-    top = [int(i) for i in ranked_items[:k]]
-    if foldin_set is not None:
-        overlap = set(top) & set(int(i) for i in foldin_set)
-        if overlap:
-            raise ContractError(f"ranking contains fold-in items {sorted(overlap)}")
-    hits = sum(1 for item in top if item in holdout)
-    return hits / min(k, len(holdout))
-
-
-def rank_excluding(scores: np.ndarray, foldin: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k highest-scoring items, with fold-in items masked out."""
-    masked = scores.astype(np.float64, copy=True)
-    masked[foldin] = -np.inf
-    if k >= masked.size:
-        return np.argsort(-masked, kind="stable")
-    top = np.argpartition(-masked, k)[:k]
-    return top[np.argsort(-masked[top], kind="stable")]
+def _codes(rows, n_items: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row lengths, and ``row * n_items + item`` for every item of every row."""
+    lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    items = np.concatenate([np.zeros(0, np.int64), *rows]).astype(np.int64, copy=False)
+    return lengths, np.repeat(np.arange(len(rows)), lengths) * n_items + items
 
 
 def ranking_metrics(scores: np.ndarray, foldin_rows, holdout_rows, k: int = 10):
-    """Per-user NDCG and recall; users with empty holdout are skipped.
+    """Per-user NDCG@k and recall@k of one chunk of users, ranked at once.
 
-    Returns ``(ndcg, recall, evaluated_mask)`` arrays over the input users.
+    Each row of ``scores`` ranks the items outside that user's fold-in set:
+    ``np.argpartition`` picks the top k, and a stable sort orders them. A
+    user with fewer than k rankable items gets fold-in items at the tail of
+    its top k, and they never count as hits. Users with an empty holdout are
+    skipped. Returns ``(ndcg, recall, evaluated_mask)`` arrays over the users.
     """
-    n = scores.shape[0]
+    if k < 1:
+        raise ConfigError(f"k must be >= 1, got {k}")
+    n, n_items = scores.shape
     ndcg = np.zeros(n)
     recall = np.zeros(n)
-    evaluated = np.zeros(n, dtype=bool)
-    for i in range(n):
-        holdout = holdout_rows[i]
-        if len(holdout) == 0:
-            continue
-        ranked = rank_excluding(scores[i], foldin_rows[i], k)
-        ndcg[i] = ndcg_at_k(ranked, holdout, k, foldin_set=foldin_rows[i])
-        recall[i] = recall_at_k(ranked, holdout, k)
-        evaluated[i] = True
+    holdout_len, holdout_codes = _codes(holdout_rows, n_items)
+    evaluated = holdout_len > 0
+    if not evaluated.any():
+        return ndcg, recall, evaluated
+    if not np.all(np.isfinite(scores)):
+        raise ContractError("ranking scores contain non-finite values")
+    neg = -np.asarray(scores, dtype=np.float64)  # the one chunk-sized copy
+    neg.reshape(-1)[_codes(foldin_rows, n_items)[1]] = np.inf
+    if k < n_items:
+        top = np.argpartition(neg, k, axis=1)[:, :k]
+    else:
+        top = np.broadcast_to(np.arange(n_items), neg.shape)
+    order = np.argsort(np.take_along_axis(neg, top, axis=1), axis=1, kind="stable")
+    top = np.take_along_axis(top, order, axis=1)[evaluated]
+    rows = np.flatnonzero(evaluated)[:, None]
+    hits = np.isin(rows * n_items + top, holdout_codes) & (neg[rows, top] < np.inf)
+
+    patterns, pattern_of = np.unique(hits, axis=0, return_inverse=True)
+    dcg = np.array([_dcg(np.flatnonzero(p).tolist()) for p in patterns], dtype=np.float64)
+    cutoff = np.minimum(k, holdout_len[evaluated])
+    cutoffs, cutoff_of = np.unique(cutoff, return_inverse=True)
+    ideal = np.array([_dcg(range(m)) for m in cutoffs.tolist()])
+    ndcg[evaluated] = dcg[pattern_of.reshape(-1)] / ideal[cutoff_of]
+    recall[evaluated] = hits.sum(axis=1) / cutoff
     return ndcg, recall, evaluated
+
+
+def evaluated_mean(values: np.ndarray, evaluated: np.ndarray) -> float:
+    """Mean of ``values`` over the evaluated users; 0.0 when there are none."""
+    return float(values[evaluated].mean()) if evaluated.any() else 0.0
 
 
 def balanced_accuracy(predictions, labels, n_classes: int) -> float:
@@ -230,36 +229,16 @@ def aggregate(values) -> tuple[float, float]:
     return as_percent(float(arr.mean())), as_percent(float(arr.std()))
 
 
-METRIC_COLUMNS = ["ndcg@10", "recall@10"]
+def write_rows_csv(path: str, rows: list[dict]) -> None:
+    """Atomically write dict rows as CSV (floats rendered with 6 decimals).
 
-
-def result_columns(attr_specs) -> list[str]:
-    cols = list(METRIC_COLUMNS)
-    for spec in attr_specs:
-        cols.append(f"bacc_{spec.name}" if spec.kind == "categorical" else f"mae_{spec.name}")
-    return cols
-
-
-def write_rows_csv(path: str, fieldnames: list[str], rows: list[dict]) -> None:
-    """Atomically write dict rows as CSV (floats rendered with 6 decimals)."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=fieldnames)
-            writer.writeheader()
-            for row in rows:
-                rendered = {}
-                for key in fieldnames:
-                    value = row.get(key, "")
-                    if isinstance(value, float):
-                        rendered[key] = f"{value:.6f}"
-                    else:
-                        rendered[key] = value
-                writer.writerow(rendered)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    The columns are every key of the rows, in order of first appearance; a
+    row without a column leaves its cell empty.
+    """
+    fieldnames = list(dict.fromkeys(key for row in rows for key in row))
+    with atomic_open(path) as fh:
+        writer = csv.DictWriter(fh, fieldnames=fieldnames)
+        writer.writeheader()
+        for row in rows:
+            writer.writerow({key: f"{value:.6f}" if isinstance(value, float) else value
+                             for key, value in row.items()})

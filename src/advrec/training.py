@@ -209,13 +209,22 @@ def evaluate_ranking(
     evaluated = np.zeros(n, dtype=bool)
     for start in range(0, n, EVAL_CHUNK):
         stop = min(n, start + EVAL_CHUNK)
-        x = dataset.rows_matrix(foldin_rows[start:stop])
-        scores = mv.scores_eval(x, model, config.activation)
+        # the dense input is freed before ranking, which holds two more chunk-sized arrays
+        scores = mv.scores_eval(dataset.rows_matrix(foldin_rows[start:stop]), model, config.activation)
         nd, rc, ok = ev.ranking_metrics(scores, foldin_rows[start:stop], holdout_rows[start:stop], k)
         ndcg[start:stop] = nd
         recall[start:stop] = rc
         evaluated[start:stop] = ok
     return ndcg, recall, evaluated
+
+
+def rank_test_fold(model: dict, dataset: InteractionDataset, fold: FoldData, config: TrainConfig):
+    """The test fold's NDCG@10 and recall@10 over its evaluated users, and
+    the per-user values behind them (``test_users``, ``ndcg``, ``recall``,
+    ``evaluated``)."""
+    ndcg, recall, evaluated = evaluate_ranking(model, dataset, fold.test_foldin, fold.test_holdout, config)
+    metrics = {"ndcg@10": ev.evaluated_mean(ndcg, evaluated), "recall@10": ev.evaluated_mean(recall, evaluated)}
+    return metrics, {"test_users": fold.split.test.copy(), "ndcg": ndcg, "recall": recall, "evaluated": evaluated}
 
 
 @dataclass
@@ -323,7 +332,7 @@ def train_adversarial_phase(
             ndcg, _, evaluated = evaluate_ranking(
                 model, dataset, fold.val_foldin, fold.val_holdout, config
             )
-            val_ndcg = float(ndcg[evaluated].mean()) if evaluated.any() else 0.0
+            val_ndcg = ev.evaluated_mean(ndcg, evaluated)
             entry["val_ndcg"] = val_ndcg
             if val_ndcg > best_ndcg:
                 best_ndcg = val_ndcg
@@ -402,19 +411,16 @@ def train_attack_phase(
 
     metrics = {}
     per_user = {"test_users": test_users.copy()}
+    predictions = adv.attacker_predictions(latents_test, heads, specs)
     for spec in specs:
-        preds = adv.attacker_forward_eval(latents_test, heads, spec)
-        truth = targets_all[spec.name][test_users]
+        pred, truth = predictions[spec.name], targets_all[spec.name][test_users]
+        per_user[f"pred_{spec.name}"] = pred
         if spec.kind == adv.CATEGORICAL:
-            pred_class = preds.argmax(axis=1)
-            metrics[f"bacc_{spec.name}"] = ev.balanced_accuracy(pred_class, truth, spec.n_classes)
-            per_user[f"pred_{spec.name}"] = pred_class
-            per_user[f"correct_{spec.name}"] = pred_class == truth
+            metrics[f"bacc_{spec.name}"] = ev.balanced_accuracy(pred, truth, spec.n_classes)
+            per_user[f"correct_{spec.name}"] = pred == truth
         else:
-            pred_value = preds.reshape(-1)
-            metrics[f"mae_{spec.name}"] = ev.mae_metric(pred_value, truth)
-            per_user[f"pred_{spec.name}"] = pred_value
-            per_user[f"abs_err_{spec.name}"] = np.abs(pred_value - truth)
+            metrics[f"mae_{spec.name}"] = ev.mae_metric(pred, truth)
+            per_user[f"abs_err_{spec.name}"] = np.abs(pred - truth)
     return AttackResult(heads=heads, metrics=metrics, per_user=per_user, log=log)
 
 
@@ -433,13 +439,16 @@ class RunRecord:
     attacker_heads: adv.Params
 
     def result_row(self) -> dict:
-        row = {"dataset": self.dataset_name, "model": self.model}
-        for name, lam in self.lambdas.items():
-            row[f"lambda_{name}"] = float(lam)
-        row["fold"] = self.fold
-        for key, value in self.metrics.items():
-            row[key] = ev.as_percent(value)
-        return row
+        return result_row(self.dataset_name, self.lambdas, self.fold, self.metrics)
+
+
+def result_row(dataset_name: str, lambdas: dict, fold: int, metrics: dict) -> dict:
+    """One row of a results table: the run's identity, then each metric in percent."""
+    row = {"dataset": dataset_name, "model": model_label(lambdas)}
+    row.update({f"lambda_{name}": float(lam) for name, lam in lambdas.items()})
+    row["fold"] = fold
+    row.update({key: ev.as_percent(value) for key, value in metrics.items()})
+    return row
 
 
 def run_single(
@@ -454,25 +463,14 @@ def run_single(
     train_result = train_adversarial_phase(dataset, attrs, specs, fold, config)
     selected = train_result.selected(config.selection)
     attack = train_attack_phase(selected, dataset, attrs, specs, fold, config)
-    ndcg, recall, evaluated = evaluate_ranking(
-        selected, dataset, fold.test_foldin, fold.test_holdout, config
-    )
-    metrics = {
-        "ndcg@10": float(ndcg[evaluated].mean()) if evaluated.any() else 0.0,
-        "recall@10": float(recall[evaluated].mean()) if evaluated.any() else 0.0,
-    }
-    metrics.update(attack.metrics)
-    per_user = dict(attack.per_user)
-    per_user["ndcg"] = ndcg
-    per_user["recall"] = recall
-    per_user["evaluated"] = evaluated
+    ranking, ranking_per_user = rank_test_fold(selected, dataset, fold, config)
     return RunRecord(
         dataset_name=dataset_name,
         model=model_label(config.lambdas),
         lambdas=dict(config.lambdas),
         fold=fold.index,
-        metrics=metrics,
-        per_user=per_user,
+        metrics={**ranking, **attack.metrics},
+        per_user={**attack.per_user, **ranking_per_user},
         train_log=train_result.log,
         attack_log=attack.log,
         best_epoch=train_result.best_epoch,

@@ -220,11 +220,17 @@ def test_criterion_5_metric_oracles():
     for n in range(1, 7):
         items = list(range(n))
         for ranking in itertools.permutations(items):
-            for r in range(1, n + 1):
-                for holdout in itertools.combinations(items, r):
-                    holdout = set(holdout)
-                    ranking_exact &= ev.ndcg_at_k(ranking, holdout, 10) == _oracle_ndcg(ranking, holdout)
-                    ranking_exact &= ev.recall_at_k(ranking, holdout, 10) == _oracle_recall(ranking, holdout)
+            holdouts = [set(h) for r in range(1, n + 1) for h in itertools.combinations(items, r)]
+            # one chunk row per holdout set, with scores that induce the ranking
+            scores = np.empty(n)
+            scores[list(ranking)] = np.arange(n, 0, -1)
+            ndcg, recall, _ = ev.ranking_metrics(
+                np.tile(scores, (len(holdouts), 1)), [np.zeros(0, dtype=np.int64)] * len(holdouts),
+                [np.array(sorted(h)) for h in holdouts], 10,
+            )
+            for i, holdout in enumerate(holdouts):
+                ranking_exact &= ndcg[i] == _oracle_ndcg(ranking, holdout)
+                ranking_exact &= recall[i] == _oracle_recall(ranking, holdout)
 
     constant_bacc = ev.balanced_accuracy(np.zeros(100, dtype=int),
                                          np.array([0] * 93 + [1] * 7), 2) == 0.5

@@ -281,7 +281,7 @@ def test_attacker_on_pure_noise_latents_is_chance_level():
         test_latents = rng.standard_normal((400, 8))
         test_labels = np.tile([0, 1], 200)
         head = train_attacker_on_latents(latents, labels, gender_spec(), epochs=30, seed=seed)
-        preds = adv.attacker_forward_eval(test_latents, head, gender_spec()).argmax(axis=1)
+        preds = adv.attacker_predictions(test_latents, head, [gender_spec()])["gender"]
         baccs.append(balanced_accuracy(preds, test_labels, 2))
     assert abs(np.mean(baccs) - 0.5) <= 0.05
 
@@ -294,7 +294,7 @@ def test_attacker_on_label_revealing_latents_learns():
     latents = rng.standard_normal((400, 8)) * 0.1
     latents[:, 0] = labels * 2.0 - 1.0
     head = train_attacker_on_latents(latents, labels, gender_spec(), epochs=60, seed=1)
-    preds = adv.attacker_forward_eval(latents, head, gender_spec()).argmax(axis=1)
+    preds = adv.attacker_predictions(latents, head, [gender_spec()])["gender"]
     assert balanced_accuracy(preds, labels, 2) > 0.95
 
 

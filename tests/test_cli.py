@@ -151,6 +151,40 @@ def test_full_single_run_pipeline(workspace, capsys):
     assert (run_dir / "embeddings.tsv").read_bytes() == again
 
 
+def test_export_embeddings_names_an_attribute_without_an_attacker(workspace, capsys):
+    tmp_path, config = workspace
+    config.write_text(config.read_text().replace("lambda.age=0\n", ""))
+    assert main(["preprocess", "--config", str(config)]) == 0
+    assert main(["train", "--config", str(config)]) == 0
+    assert main(["attack", "--config", str(config)]) == 0
+    capsys.readouterr()
+    # the same MultVAE run directory, whose attacker.bin has a gender attacker only
+    assert main(["export-embeddings", "--config", str(config), "--lambda", "age=0"]) == 2
+    assert "'age'" in capsys.readouterr().err
+
+
+def test_commands_reject_a_checkpoint_for_another_catalog(workspace, capsys):
+    tmp_path, config = workspace
+    assert main(["preprocess", "--config", str(config)]) == 0
+    assert main(["train", "--config", str(config)]) == 0
+    assert main(["attack", "--config", str(config)]) == 0
+    write_raw_tsvs(tmp_path, n_items=36)
+    assert main(["preprocess", "--config", str(config)]) == 0
+    capsys.readouterr()
+    for command in ("attack", "eval", "export-embeddings"):
+        assert main([command, "--config", str(config)]) == 2
+        assert "checkpoint expects" in capsys.readouterr().err
+
+
+def test_train_log_keeps_validation_column_when_the_first_epoch_is_not_validated(tmp_path):
+    write_raw_tsvs(tmp_path)
+    config = write_config(tmp_path, **{"train.val_every": "2", "train.selection": "best"})
+    assert main(["preprocess", "--config", str(config)]) == 0
+    assert main(["train", "--config", str(config)]) == 0
+    rows = read_csv(tmp_path / "runs" / "MultVAE" / "fold0" / "train_log.csv")
+    assert [row["val_ndcg"] != "" for row in rows] == [False, True, True]
+
+
 def test_model_labels_in_output_paths(workspace):
     tmp_path, config = workspace
     assert main(["preprocess", "--config", str(config)]) == 0

@@ -6,7 +6,7 @@ import pytest
 from scipy.stats import rankdata
 
 from advrec import evaluation as ev
-from advrec.errors import ContractError, DataError
+from advrec.errors import ConfigError, ContractError, DataError
 
 
 def oracle_ndcg(ranking, holdout, k):
@@ -20,53 +20,131 @@ def oracle_recall(ranking, holdout, k):
     return hits / min(k, len(holdout))
 
 
+def scores_ranking(ranking, rows=1):
+    """Scores that rank the catalog ``range(len(ranking))`` in ``ranking`` order."""
+    scores = np.empty(len(ranking))
+    scores[list(ranking)] = np.arange(len(ranking), 0, -1)
+    return np.tile(scores, (rows, 1))
+
+
+def metrics_of(ranking, holdout, k=10, foldin=()):
+    """NDCG and recall of one user whose scores induce ``ranking``."""
+    ndcg, recall, evaluated = ev.ranking_metrics(
+        scores_ranking(ranking), [np.array(foldin, dtype=np.int64)], [np.array(sorted(holdout))], k
+    )
+    assert evaluated[0]
+    return ndcg[0], recall[0]
+
+
 def test_ndcg_examples():
-    assert ev.ndcg_at_k([7], {7}, k=10) == 1.0
+    assert metrics_of([7, 0, 1, 2, 3, 4, 5, 6], {7})[0] == 1.0
     # relevant at positions 1 and 3 with two holdout items
-    value = ev.ndcg_at_k([5, 1, 6, 2], {5, 6}, k=10)
+    value = metrics_of([5, 1, 6, 2, 0, 3, 4], {5, 6})[0]
     expected = (1.0 + 1.0 / math.log2(4)) / (1.0 + 1.0 / math.log2(3))
     assert abs(value - expected) < 1e-12
     assert abs(value - 0.9197) < 5e-4
-    assert ev.ndcg_at_k([1, 2, 3], {9}, k=10) == 0.0
+    assert metrics_of([1, 2, 3, 0, 4, 5, 6, 7, 8, 10, 11, 9], {9})[0] == 0.0
 
 
 def test_recall_examples():
-    assert ev.recall_at_k([1, 2, 3], {1, 2}, k=10) == 1.0
-    assert ev.recall_at_k([1, 5, 6, 7, 8, 9, 10, 11, 12, 13], {1, 2}, k=10) == 0.5
-    assert ev.recall_at_k([3, 4], {1, 2}, k=10) == 0.0
+    assert metrics_of([1, 2, 3, 0], {1, 2})[1] == 1.0
+    assert metrics_of([1, 5, 6, 7, 8, 9, 10, 11, 12, 13, 0, 2, 3, 4], {1, 2})[1] == 0.5
+    assert metrics_of([3, 4, 0, 5, 6, 7, 8, 9, 10, 11, 1, 2], {1, 2})[1] == 0.0
+
+
+def assert_chunk_matches_oracle(ranking, k):
+    """Every holdout set over the catalog, one chunk row each, against the oracles."""
+    holdouts = [set(h) for r in range(1, len(ranking) + 1) for h in itertools.combinations(ranking, r)]
+    ndcg, recall, evaluated = ev.ranking_metrics(
+        scores_ranking(ranking, len(holdouts)), [np.zeros(0, dtype=np.int64)] * len(holdouts),
+        [np.array(sorted(h)) for h in holdouts], k,
+    )
+    assert evaluated.all()
+    for i, holdout in enumerate(holdouts):
+        assert ndcg[i] == oracle_ndcg(ranking, holdout, k)
+        assert recall[i] == oracle_recall(ranking, holdout, k)
 
 
 def test_ranking_metrics_match_brute_force_on_all_small_rankings():
     for n_items in range(1, 6):
-        items = list(range(n_items))
-        for ranking in itertools.permutations(items):
-            for r in range(1, n_items + 1):
-                for holdout in itertools.combinations(items, r):
-                    holdout = set(holdout)
-                    for k in (1, 3, 10):
-                        assert ev.ndcg_at_k(ranking, holdout, k) == oracle_ndcg(ranking, holdout, k)
-                        assert ev.recall_at_k(ranking, holdout, k) == oracle_recall(ranking, holdout, k)
+        for ranking in itertools.permutations(range(n_items)):
+            for k in (1, 3, 10):
+                assert_chunk_matches_oracle(ranking, k)
     # full length-6 sweep at the reporting cutoff
-    items = list(range(6))
-    for ranking in itertools.permutations(items):
-        for r in range(1, 7):
-            for holdout in itertools.combinations(items, r):
-                holdout = set(holdout)
-                assert ev.ndcg_at_k(ranking, holdout, 10) == oracle_ndcg(ranking, holdout, 10)
-                assert ev.recall_at_k(ranking, holdout, 10) == oracle_recall(ranking, holdout, 10)
+    for ranking in itertools.permutations(range(6)):
+        assert_chunk_matches_oracle(ranking, 10)
 
 
-def test_ranking_rejects_foldin_contamination():
+def test_users_with_fewer_than_k_rankable_items_are_scored():
+    # three of five items are fold-in: the top 10 holds 2 rankable items, then the masked ones
+    ndcg, recall = metrics_of([0, 1, 2, 4, 3], {3}, k=10, foldin=(0, 1, 2))
+    assert recall == 1.0
+    assert ndcg == 1.0 / math.log2(3)
+
+
+def test_ranking_never_credits_a_foldin_item():
+    # an item listed as both fold-in and holdout is masked, so it is never a hit
+    ndcg, recall = metrics_of([0, 1, 2, 3], {0, 3}, k=10, foldin=(0,))
+    assert recall == 0.5
+    assert ndcg == (1.0 / math.log2(4)) / (1.0 + 1.0 / math.log2(3))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_ranking_rejects_non_finite_scores(bad):
+    scores = scores_ranking([0, 1, 2, 3], rows=2)
+    scores[1, 2] = bad
     with pytest.raises(ContractError):
-        ev.ndcg_at_k([1, 2, 3], {3}, k=10, foldin_set={2})
-    with pytest.raises(ContractError):
-        ev.recall_at_k([1, 2, 3], {3}, k=10, foldin_set={1})
+        ev.ranking_metrics(scores, [np.zeros(0, dtype=np.int64)] * 2, [np.array([1]), np.array([2])], 3)
 
 
-def test_rank_excluding_masks_foldin():
-    scores = np.array([5.0, 4.0, 3.0, 2.0, 1.0])
-    ranked = ev.rank_excluding(scores, np.array([0, 1]), k=3)
-    assert list(ranked) == [2, 3, 4]
+def test_ranking_masks_foldin():
+    scores = np.array([[5.0, 4.0, 3.0, 2.0, 1.0]])
+    ndcg, recall, _ = ev.ranking_metrics(scores, [np.array([0, 1])], [np.array([4])], k=3)
+    # item 4 is third once items 0 and 1 are masked
+    assert recall[0] == 1.0
+    assert ndcg[0] == 1.0 / math.log2(4)
+
+
+def oracle_user(scores, foldin, holdout, k):
+    """Sort one user's rankable items by hand; scores tie only within the holdout or outside it."""
+    rankable = [i for i in range(len(scores)) if i not in foldin]
+    top = sorted(rankable, key=lambda i: -scores[i])[:k]
+    dcg = sum(1.0 / math.log2(pos + 2) for pos, item in enumerate(top) if item in holdout)
+    ideal = sum(1.0 / math.log2(pos + 2) for pos in range(min(k, len(holdout))))
+    return dcg / ideal, sum(item in holdout for item in top) / min(k, len(holdout))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_random_chunks_match_a_per_user_oracle(seed):
+    rng = np.random.default_rng(seed)
+    # k >= n_items in the first three; the second is an empty chunk
+    for n, n_items, k in [(5, 1, 1), (0, 7, 10), (30, 8, 8), (40, 30, 3), (25, 60, 10), (40, 200, 20)]:
+        foldin, holdout = [], []
+        scores = np.empty((n, n_items))
+        for u in range(n):
+            part = rng.integers(0, 3, size=n_items)  # 0 fold-in, 1 holdout, 2 neither
+            foldin.append(np.flatnonzero(part == 0))
+            holdout.append(np.flatnonzero(part == 1))
+            # few distinct values: ties, but never between a holdout item and another item
+            scores[u] = 2 * rng.integers(0, 4, size=n_items) + (part == 1)
+        ndcg, recall, evaluated = ev.ranking_metrics(scores, foldin, holdout, k)
+        assert ndcg.shape == recall.shape == evaluated.shape == (n,)
+        for u in range(n):
+            assert evaluated[u] == (len(holdout[u]) > 0)
+            if not evaluated[u]:
+                assert ndcg[u] == recall[u] == 0.0
+                continue
+            want = oracle_user(scores[u], set(foldin[u].tolist()), set(holdout[u].tolist()), k)
+            assert (ndcg[u], recall[u]) == want
+
+
+def test_ranking_rejects_k_below_one():
+    with pytest.raises(ConfigError):
+        ev.ranking_metrics(np.zeros((1, 3)), [np.array([0])], [np.array([1])], k=0)
+
+
+def test_evaluated_mean_of_no_users_is_zero():
+    assert ev.evaluated_mean(np.array([0.5]), np.array([False])) == 0.0
 
 
 def test_balanced_accuracy_examples():
@@ -228,7 +306,14 @@ def test_percent_scaling_is_exact():
 def test_write_rows_csv_atomic(tmp_path):
     path = tmp_path / "out" / "metrics.csv"
     rows = [{"dataset": "d", "fold": 0, "ndcg@10": 12.345678912}]
-    ev.write_rows_csv(str(path), ["dataset", "fold", "ndcg@10"], rows)
+    ev.write_rows_csv(str(path), rows)
     text = path.read_text()
+    assert text.splitlines()[0] == "dataset,fold,ndcg@10"
     assert "12.345679" in text
     assert not list(path.parent.glob("*.tmp"))
+
+
+def test_write_rows_csv_takes_every_column_in_order_of_first_appearance(tmp_path):
+    path = tmp_path / "log.csv"
+    ev.write_rows_csv(str(path), [{"epoch": 0, "mult": 1.5}, {"epoch": 1, "mult": 0.5, "val_ndcg": 0.25}])
+    assert path.read_text().splitlines() == ["epoch,mult,val_ndcg", "0,1.500000,", "1,0.500000,0.250000"]

@@ -190,6 +190,17 @@ def test_run_single_produces_percent_metrics_and_label():
     assert row["mae_age"] >= 0.0
 
 
+def test_users_with_fewer_than_ten_rankable_items_do_not_fail_the_run():
+    dataset, attrs = planted_dataset(n_users=80, n_items=14, seed=3, items_low=4, items_high=9)
+    config = tr.TrainConfig(epochs_adversarial=2, epochs_attack=2, batch_size=32, d_hidden=8, d_latent=4,
+                            d_adv_hidden=4, anneal_steps=10, val_every=1, lambdas={"gender": 1.0})
+    fold = prepare_fold(dataset, make_folds(dataset.n_users, seed=11)[0], config.holdout_ratio, config.data_seed)
+    assert max(len(f) for f in fold.val_foldin + fold.test_foldin) > dataset.n_items - 10
+    record = tr.run_single(dataset, attrs, fold, config)
+    assert 0.0 < record.metrics["ndcg@10"] <= 1.0
+    assert all(entry["val_ndcg"] > 0.0 for entry in record.train_log)
+
+
 def test_model_labels_follow_suffix_convention():
     assert tr.model_label({}) == "MultVAE"
     assert tr.model_label({"gender": 0.0, "age": 0.0}) == "MultVAE"
