@@ -77,14 +77,6 @@ class Params(dict):
     named = dict.items
 
 
-def frozen(params: dict) -> Params:
-    """Read-only copy of ``params``: numpy refuses writes to its arrays."""
-    out = Params((name, arr.copy()) for name, arr in params.items())
-    for arr in out.values():
-        arr.setflags(write=False)
-    return out
-
-
 # One-intermediate-layer MLP from the latent space to a prediction,
 # laid out as in multvae.
 HEAD = {

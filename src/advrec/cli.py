@@ -75,13 +75,13 @@ class FoldRun:
 
     @classmethod
     def of(cls, config: RunConfig) -> "FoldRun":
+        train = config.train_config()  # checks the seeds before make_folds uses one
         dataset, attrs = load_dataset(config)
-        splits = dp.make_folds(dataset.n_users, config["train.data_seed"], config["train.n_folds"])
+        splits = dp.make_folds(dataset.n_users, train.data_seed, config["train.n_folds"])
         fold_index = config["train.fold"]
         if not 0 <= fold_index < len(splits):
             raise ConfigError(f"train.fold={fold_index} outside 0..{len(splits) - 1}")
-        fold = dp.prepare_fold(dataset, splits[fold_index], config["train.holdout_ratio"], config["train.data_seed"])
-        train = config.train_config()
+        fold = dp.prepare_fold(dataset, splits[fold_index], train.holdout_ratio, train.data_seed)
         label = tr.model_label(train.lambdas)
         return cls(config, dataset, attrs, fold, train, label,
                    os.path.join(config["out.dir"], label, f"fold{fold_index}"))
@@ -112,6 +112,14 @@ def cmd_preprocess(config: RunConfig) -> int:
     interactions = config.require("data.interactions")
     demographics = config.require("data.demographics")
     cache_path = config.require("data.cache")
+    # each bound is written as "in range" and negated, so that NaN fails it too
+    for key, ok, bound in [
+        ("data.item_subsample", config["data.item_subsample"] >= 0, ">= 0"),
+        ("data.subsample_seed", config["data.subsample_seed"] >= 0, ">= 0"),
+        ("data.age_cap", 0.0 < config["data.age_cap"] < float("inf"), "finite and > 0"),
+    ]:
+        if not ok:
+            raise ConfigError(f"{key} must be {bound}, got {config[key]}")
     for path in (interactions, demographics):
         if not os.path.exists(path):
             raise DataError(f"input file {path!r} does not exist")
@@ -277,7 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, metavar="N",
                        help="master seed; sets the model/data/adversary streams to N, N+1, N+2")
         p.add_argument("--workers", type=int, default=1, metavar="N",
-                       help="concurrent runs for the grid command")
+                       help="concurrent runs for the grid command; workers keep the environment's BLAS "
+                            "thread count, and results repeat bit for bit only at a fixed thread count")
         p.add_argument("--lambda", dest="lambdas", action="append", default=[],
                        metavar="ATTR=VALUE", help="removal strength override (repeatable)")
     return parser

@@ -1,5 +1,10 @@
 """Optimization and the two-phase protocol: removal training, then attack.
 
+Both phases are minibatch Adam through one loop, :func:`run_epoch`, with
+each phase supplying the graph of a batch. Every step's arrays replace the
+last in the phase's one parameter store, so no older store outlives its
+step; the removal phase keeps its best epoch as a shallow copy.
+
 Three independent RNG streams (model, data, adversary) keep runs
 reproducible and make zero-scale adversarial runs bit-identical to plain
 recommender training: head initialization and any adversary-side draws
@@ -83,7 +88,6 @@ class TrainConfig:
     d_adv_hidden: int = 128
     dropout_keep: float = 0.5
     activation: str = "tanh"
-    clip_grad: float = 0.0  # 0 disables clipping
     continuous_head: str = "sigmoid"  # "sigmoid" or "linear" output for continuous heads
     holdout_ratio: float = 0.2
     val_every: int = 1
@@ -107,7 +111,9 @@ class TrainConfig:
             ("d_adv_hidden", self.d_adv_hidden >= 1, ">= 1"),
             ("anneal_steps", self.anneal_steps >= 0, ">= 0"),
             ("val_every", self.val_every >= 0, ">= 0"),
-            ("clip_grad", self.clip_grad >= 0, ">= 0"),
+            ("model_seed", self.model_seed >= 0, ">= 0"),
+            ("data_seed", self.data_seed >= 0, ">= 0"),
+            ("adversary_seed", self.adversary_seed >= 0, ">= 0"),
         ]:
             if not ok:
                 raise ConfigError(f"{name} must be {bound}, got {getattr(self, name)}")
@@ -172,14 +178,6 @@ def params_hash(named_iter) -> str:
         digest.update(name.encode())
         digest.update(np.ascontiguousarray(arr).tobytes())
     return digest.hexdigest()
-
-
-def clip_gradients(grads: dict, max_norm: float) -> dict:
-    total = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
-    if total <= max_norm or total == 0.0:
-        return grads
-    scale = max_norm / total
-    return {name: g * scale for name, g in grads.items()}
 
 
 EVAL_CHUNK = 1024  # users per dense matrix at evaluation, which bounds its memory
@@ -254,6 +252,34 @@ def init_model(
     )
 
 
+def run_epoch(params: dict, n_rows: int, rng: np.random.Generator, batch_size: int, graph,
+              optimizer: AdamState, epoch: int) -> dict:
+    """One epoch of minibatch Adam over ``n_rows`` rows, in an order drawn from ``rng``.
+
+    ``graph(params, batch_rows, step)`` builds one batch's
+    ``(loss, named_losses, tape, leaves)``; ``step`` counts the updates made
+    before this one. Each step's arrays go into ``params`` in place of the
+    last, so no older store outlives the step. Returns each named loss
+    averaged over the batches.
+    """
+    order = rng.permutation(n_rows)
+    starts = range(0, n_rows, batch_size)
+    sums: dict = {}
+    for batch, start in enumerate(starts):
+        loss, named, tape, leaves = graph(params, order[start : start + batch_size], optimizer.step)
+        where = f"epoch {epoch}, batch {batch}"
+        if not np.isfinite(loss.data):
+            raise TrainingDiverged(f"loss became non-finite at {where}")
+        grad_map = tape.backward(loss)
+        try:
+            params.update(adam_step(params, {name: grad_map[leaf] for name, leaf in leaves.items()}, optimizer))
+        except TrainingDiverged as err:
+            raise TrainingDiverged(f"{err} ({where})") from None
+        for name, tensor in named.items():
+            sums[name] = sums.get(name, 0.0) + float(tensor.data)
+    return {name: total / len(starts) for name, total in sums.items()}
+
+
 def train_adversarial_phase(
     dataset: InteractionDataset,
     attrs: UserAttributes,
@@ -270,63 +296,33 @@ def train_adversarial_phase(
     model = init_model(dataset, specs, config, model_rng, adversary_rng)
     optimizer = AdamState(config.lr, config.adam_beta1, config.adam_beta2, config.adam_epsilon)
     targets_all = attrs.targets()
-
     train_users = fold.split.train
+
+    def graph(params, rows, step):
+        batch_users = train_users[rows]
+        beta = config.beta_max * min(1.0, step / config.anneal_steps) if config.anneal_steps else config.beta_max
+        parts, tape, leaves = adv.total_objective(
+            dataset.batch_matrix(batch_users),
+            {name: values[batch_users] for name, values in targets_all.items()},
+            params,
+            specs,
+            beta,
+            model_rng,
+            training=True,
+            dropout_keep=config.dropout_keep,
+            activation=config.activation,
+        )
+        named = {"mult": parts.mult, "nll": parts.nll, "kl": parts.kl}
+        named.update({f"adv_{name}": tensor for name, tensor in parts.adv.items()})
+        return parts.loss, named, tape, leaves
+
     best_ndcg = -np.inf
-    best_params = model
+    best_params = None
     best_epoch = -1
     log = []
-    global_step = 0
-
     for epoch in range(config.epochs_adversarial):
-        order = data_rng.permutation(len(train_users))
-        epoch_mult = 0.0
-        epoch_nll = 0.0
-        epoch_kl = 0.0
-        epoch_adv = {spec.name: 0.0 for spec in specs}
-        n_batches = 0
-        for start in range(0, len(order), config.batch_size):
-            batch_users = train_users[order[start : start + config.batch_size]]
-            x = dataset.batch_matrix(batch_users)
-            batch_targets = {name: values[batch_users] for name, values in targets_all.items()}
-            beta = config.beta_max * min(1.0, global_step / config.anneal_steps) if config.anneal_steps else config.beta_max
-            parts, tape, leaves = adv.total_objective(
-                x,
-                batch_targets,
-                model,
-                specs,
-                beta,
-                model_rng,
-                training=True,
-                dropout_keep=config.dropout_keep,
-                activation=config.activation,
-            )
-            if not np.isfinite(parts.loss.data):
-                raise TrainingDiverged(f"loss became non-finite at epoch {epoch}, batch {n_batches}")
-            grad_map = tape.backward(parts.loss)
-            grads = {name: grad_map[leaf] for name, leaf in leaves.items()}
-            if config.clip_grad > 0:
-                grads = clip_gradients(grads, config.clip_grad)
-            try:
-                model = adam_step(model, grads, optimizer)
-            except TrainingDiverged as err:
-                raise TrainingDiverged(f"{err} (epoch {epoch}, batch {n_batches})") from None
-            global_step += 1
-            n_batches += 1
-            epoch_mult += float(parts.mult.data)
-            epoch_nll += float(parts.nll.data)
-            epoch_kl += float(parts.kl.data)
-            for name, tensor in parts.adv.items():
-                epoch_adv[name] += float(tensor.data)
-
-        entry = {
-            "epoch": epoch,
-            "mult": epoch_mult / max(1, n_batches),
-            "nll": epoch_nll / max(1, n_batches),
-            "kl": epoch_kl / max(1, n_batches),
-        }
-        for name in epoch_adv:
-            entry[f"adv_{name}"] = epoch_adv[name] / max(1, n_batches)
+        entry = {"epoch": epoch}
+        entry.update(run_epoch(model, len(train_users), data_rng, config.batch_size, graph, optimizer, epoch))
         is_last = epoch == config.epochs_adversarial - 1
         if config.val_every and ((epoch + 1) % config.val_every == 0 or is_last):
             ndcg, _, evaluated = evaluate_ranking(
@@ -336,7 +332,9 @@ def train_adversarial_phase(
             entry["val_ndcg"] = val_ndcg
             if val_ndcg > best_ndcg:
                 best_ndcg = val_ndcg
-                best_params = model  # adam_step never writes a store in place
+                # A shallow copy is a snapshot only because no step writes an
+                # array in place; an in-place optimizer must copy the arrays here.
+                best_params = adv.Params(model)
                 best_epoch = epoch
         log.append(entry)
 
@@ -378,7 +376,6 @@ def train_attack_phase(
     as if alone.
     """
     config.validate()
-    frozen = adv.frozen(model)
     head_rng = np.random.default_rng([config.adversary_seed, 1001])
     shuffle_rng = np.random.default_rng([config.data_seed, 1001])
 
@@ -387,27 +384,21 @@ def train_attack_phase(
 
     train_users = fold.split.train
     test_users = fold.split.test
-    latents_train = encode_users(dataset, train_users, frozen, config.activation)
-    latents_test = encode_users(dataset, test_users, frozen, config.activation)
+    latents_train = encode_users(dataset, train_users, model, config.activation)
+    latents_test = encode_users(dataset, test_users, model, config.activation)
     targets_all = attrs.targets()
+
+    def graph(params, rows, step):
+        targets = {spec.name: targets_all[spec.name][train_users[rows]] for spec in specs}
+        loss, per_attr, tape, leaves = adv.attacker_loss_graph(latents_train[rows], params, specs, targets)
+        return loss, {f"attacker_{name}": tensor for name, tensor in per_attr.items()}, tape, leaves
 
     log = []
     for epoch in range(config.epochs_attack):
-        order = shuffle_rng.permutation(len(train_users))
-        epoch_losses = {spec.name: 0.0 for spec in specs}
-        n_batches = 0
-        for start in range(0, len(order), config.batch_size):
-            n_batches += 1
-            if not specs:
-                continue  # nothing to attack; the log still has its epochs
-            idx = order[start : start + config.batch_size]
-            targets = {spec.name: targets_all[spec.name][train_users[idx]] for spec in specs}
-            loss, per_attr, tape, leaves = adv.attacker_loss_graph(latents_train[idx], heads, specs, targets)
-            grad_map = tape.backward(loss)
-            heads = adam_step(heads, {name: grad_map[leaf] for name, leaf in leaves.items()}, optimizer)
-            for name, tensor in per_attr.items():
-                epoch_losses[name] += float(tensor.data)
-        log.append({"epoch": epoch, **{f"attacker_{k}": v / max(1, n_batches) for k, v in epoch_losses.items()}})
+        losses = {}  # with nothing to attack, the log still has its epochs
+        if specs:
+            losses = run_epoch(heads, len(train_users), shuffle_rng, config.batch_size, graph, optimizer, epoch)
+        log.append({"epoch": epoch, **losses})
 
     metrics = {}
     per_user = {"test_users": test_users.copy()}
@@ -486,8 +477,7 @@ def lambda_combinations(grid: dict) -> list[dict]:
 
 def _grid_unit(payload):
     dataset, attrs, fold, config, dataset_name = payload
-    record = run_single(dataset, attrs, fold, config, dataset_name)
-    return record
+    return run_single(dataset, attrs, fold, config, dataset_name)
 
 
 @dataclass
@@ -500,8 +490,9 @@ def _combo_key(lambdas: dict) -> tuple:
     return tuple(sorted((name, float(lam)) for name, lam in lambdas.items()))
 
 
-def _concatenated(records: list, field: str) -> np.ndarray:
-    return np.concatenate([r.per_user[field] for r in sorted(records, key=lambda r: r.fold)])
+def _concatenated(records: list, field: str, folds: set) -> np.ndarray:
+    """``field`` of the records on ``folds``, concatenated in fold order."""
+    return np.concatenate([r.per_user[field] for r in sorted(records, key=lambda r: r.fold) if r.fold in folds])
 
 
 def grid_summary(records: list) -> list[dict]:
@@ -510,7 +501,9 @@ def grid_summary(records: list) -> list[dict]:
 
     Ranking scores enter a signed-rank test, categorical attacker
     correctness a McNemar test, and continuous attacker errors a paired
-    t-test, each over the user-level values concatenated across folds.
+    t-test, each over the user-level values concatenated across the folds
+    that both combinations completed. With no such fold, the row has no
+    tests.
     """
     if not records:
         return []
@@ -551,22 +544,22 @@ def grid_summary(records: list) -> list[dict]:
             mean, std = ev.aggregate([r.metrics[key] for r in best])
             row[f"{key}_mean"] = mean
             row[f"{key}_std"] = std
-        if baseline is not None and len(baseline) == len(best) and best_key != baseline_key:
-            evaluated = _concatenated(best, "evaluated") & _concatenated(baseline, "evaluated")
-            ndcg_test = ev.wilcoxon_signed_rank(
-                _concatenated(best, "ndcg")[evaluated], _concatenated(baseline, "ndcg")[evaluated]
-            )
+        # users pair up only within a fold, so the tests see the folds both completed
+        shared = {r.fold for r in best} & {r.fold for r in baseline or []}
+        if shared and best_key != baseline_key:
+            def paired(field):
+                return _concatenated(best, field, shared), _concatenated(baseline, field, shared)
+
+            evaluated = np.logical_and(*paired("evaluated"))
+            ndcg_best, ndcg_baseline = paired("ndcg")
+            ndcg_test = ev.wilcoxon_signed_rank(ndcg_best[evaluated], ndcg_baseline[evaluated])
             row["p_ndcg_vs_baseline"] = ndcg_test.p_value
             row["ndcg_significant"] = "*" if ndcg_test.significant else ""
             if kind == "categorical":
-                attr_test = ev.mcnemar_test(
-                    _concatenated(best, f"correct_{attr}"), _concatenated(baseline, f"correct_{attr}")
-                )
+                attr_test = ev.mcnemar_test(*paired(f"correct_{attr}"))
                 row["attr_test"] = "mcnemar"
             else:
-                attr_test = ev.paired_t_test(
-                    _concatenated(best, f"abs_err_{attr}"), _concatenated(baseline, f"abs_err_{attr}")
-                )
+                attr_test = ev.paired_t_test(*paired(f"abs_err_{attr}"))
                 row["attr_test"] = "t-test"
             row["p_attr_vs_baseline"] = attr_test.p_value
             row["attr_significant"] = "*" if attr_test.significant else ""

@@ -101,8 +101,9 @@ def test_unknown_config_key_is_rejected(tmp_path, capsys):
 @pytest.mark.parametrize("key, value", [
     ("train.d_adv_hidden", "0"), ("train.lr", "-1"), ("train.lr", "0"), ("train.lr", "nan"),
     ("train.adam_beta1", "1"), ("train.adam_beta2", "1"), ("train.adam_epsilon", "0"),
-    ("train.val_every", "-1"), ("train.clip_grad", "-1"), ("train.anneal_steps", "-1"),
+    ("train.val_every", "-1"), ("train.anneal_steps", "-1"),
     ("train.beta_max", "nan"), ("train.beta_max", "inf"), ("lambda.gender", "nan"),
+    ("train.model_seed", "-1"), ("train.data_seed", "-1"), ("train.adversary_seed", "-1"),
 ])
 def test_train_rejects_out_of_range_settings(tmp_path, capsys, key, value):
     write_raw_tsvs(tmp_path)
@@ -110,6 +111,25 @@ def test_train_rejects_out_of_range_settings(tmp_path, capsys, key, value):
     assert main(["preprocess", "--config", str(config)]) == 0
     assert main(["train", "--config", str(config)]) == 2
     assert key.split(".")[1] in capsys.readouterr().err
+
+
+def test_negative_master_seed_is_rejected(tmp_path, capsys):
+    write_raw_tsvs(tmp_path)
+    config = write_config(tmp_path)
+    assert main(["preprocess", "--config", str(config)]) == 0
+    assert main(["train", "--config", str(config), "--seed", "-3"]) == 2
+    assert "seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("settings", [
+    {"data.item_subsample": "-3"}, {"data.item_subsample": "20", "data.subsample_seed": "-1"},
+    {"data.age_cap": "0"}, {"data.age_cap": "-5"}, {"data.age_cap": "nan"}, {"data.age_cap": "inf"},
+], ids=lambda settings: ",".join(f"{key}={value}" for key, value in settings.items()))
+def test_preprocess_rejects_out_of_range_settings(tmp_path, capsys, settings):
+    write_raw_tsvs(tmp_path)
+    config = write_config(tmp_path, **settings)
+    assert main(["preprocess", "--config", str(config)]) == 2
+    assert list(settings)[-1] in capsys.readouterr().err
 
 
 def test_full_single_run_pipeline(workspace, capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
@@ -129,10 +130,40 @@ def test_divergence_aborts_with_location(monkeypatch):
         )
         return parts, None, {}
 
+    model = tr.train_adversarial_phase(dataset, attrs, [], fold, config).final_params
     monkeypatch.setattr(adv, "total_objective", bad_objective)
     with pytest.raises(TrainingDiverged) as err:
         tr.train_adversarial_phase(dataset, attrs, [], fold, config)
     assert "epoch 0" in str(err.value) and "batch 0" in str(err.value)
+
+    monkeypatch.setattr(adv, "attacker_loss_graph", lambda *args: (BadLoss(), {}, None, {}))
+    specs = tr.build_specs(attrs, {"gender": 0.0}, fold.split.train)
+    with pytest.raises(TrainingDiverged) as err:
+        tr.train_attack_phase(model, dataset, attrs, specs, fold, config)
+    assert "epoch 0" in str(err.value) and "batch 0" in str(err.value)
+
+
+def test_no_parameter_store_outlives_its_step(monkeypatch):
+    dataset, attrs, fold, config = tiny_setup(epochs_adversarial=3, lambdas={"gender": 1.0, "age": 1.0})
+    assert config.val_every == 0  # no validation, so no epoch is kept as the best
+    init_model, adam_step = tr.init_model, tr.adam_step
+    initial, alive = [], []
+
+    def tracked_init(*args):
+        model = init_model(*args)
+        initial.extend(weakref.ref(arr) for arr in model.values())
+        return model
+
+    def counted_step(params, grads, state):
+        if state.step == 3:  # the fourth step
+            alive.append(sum(ref() is not None for ref in initial))
+        return adam_step(params, grads, state)
+
+    monkeypatch.setattr(tr, "init_model", tracked_init)
+    monkeypatch.setattr(tr, "adam_step", counted_step)
+    specs = tr.build_specs(attrs, config.lambdas, fold.split.train)
+    tr.train_adversarial_phase(dataset, attrs, specs, fold, config)
+    assert initial and alive == [0]
 
 
 def test_attack_phase_leaves_model_frozen():
@@ -140,13 +171,11 @@ def test_attack_phase_leaves_model_frozen():
     specs = tr.build_specs(attrs, config.lambdas, fold.split.train)
     result = tr.train_adversarial_phase(dataset, attrs, specs, fold, config)
     before = tr.params_hash(result.final_params.items())
+    for arr in result.final_params.values():
+        arr.setflags(write=False)  # numpy refuses any write into the model
     tr.train_attack_phase(result.final_params, dataset, attrs, specs, fold, config)
     after = tr.params_hash(result.final_params.items())
     assert before == after
-    frozen = adv.frozen(result.final_params)
-    assert np.array_equal(frozen["enc.hidden_w"], result.final_params["enc.hidden_w"])
-    with pytest.raises(ValueError):
-        frozen["enc.hidden_w"][0, 0] = 1.0  # numpy blocks writes to frozen arrays
 
 
 def test_chunked_encoding_matches_one_full_matrix():
@@ -277,6 +306,32 @@ def test_grid_records_failures_and_continues(monkeypatch):
     assert len(outcome.records) == 1
     assert len(outcome.failures) == 1
     assert outcome.failures[0][0] == {"gender": 13.0}
+
+
+def test_grid_summary_pairs_users_only_within_folds_both_combinations_completed():
+    dataset, attrs, _, config = tiny_setup(n_users=300, epochs_adversarial=2, epochs_attack=2)
+    folds = [
+        prepare_fold(dataset, split, config.holdout_ratio, config.data_seed)
+        for split in make_folds(dataset.n_users, seed=11)[:2]
+    ]
+
+    def record(lam, fold):
+        record = tr.run_single(dataset, attrs, fold, dataclasses.replace(config, lambdas={"gender": lam}))
+        if lam:  # the removal combination is the best one, whatever the tiny run gives
+            record.metrics["bacc_gender"] = 0.0
+        return record
+
+    baseline = [record(0.0, fold) for fold in folds]
+    removed = record(400.0, folds[1])
+    p_keys = ("p_ndcg_vs_baseline", "p_attr_vs_baseline")
+
+    (disjoint,) = tr.grid_summary([baseline[0], removed])
+    assert not any(key in disjoint for key in p_keys)
+
+    (mismatched,) = tr.grid_summary([*baseline, removed])
+    (shared_only,) = tr.grid_summary([baseline[1], removed])
+    assert all(key in shared_only for key in p_keys)
+    assert mismatched == shared_only
 
 
 def test_best_validation_checkpoint_is_tracked():
