@@ -116,12 +116,14 @@ class Tape:
 
 
 def accumulate(t: Tensor, grad: Array) -> None:
-    """Add ``grad`` into ``t``'s gradient accumulator (no-op for constants)."""
-    if not t.requires_grad:
-        return
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += grad
+    """Add ``grad`` to ``t``'s gradient (no-op for constants).
+
+    The first gradient is kept by reference and each later one is added out
+    of place. No gradient array is ever written in place, so one array may
+    serve several tensors, as when ``add`` passes its ``g`` to both inputs.
+    """
+    if t.requires_grad:
+        t.grad = grad if t.grad is None else t.grad + grad
 
 
 def result_of(inputs: Sequence[Tensor], data, grad_fn, name: str | None = None) -> Tensor:

@@ -114,6 +114,7 @@ def cmd_preprocess(config: RunConfig) -> int:
     cache_path = config.require("data.cache")
     # each bound is written as "in range" and negated, so that NaN fails it too
     for key, ok, bound in [
+        ("data.k_core", config["data.k_core"] >= 1, ">= 1"),
         ("data.item_subsample", config["data.item_subsample"] >= 0, ">= 0"),
         ("data.subsample_seed", config["data.subsample_seed"] >= 0, ">= 0"),
         ("data.age_cap", 0.0 < config["data.age_cap"] < float("inf"), "finite and > 0"),

@@ -1,9 +1,9 @@
 """Optimization and the two-phase protocol: removal training, then attack.
 
 Both phases are minibatch Adam through one loop, :func:`run_epoch`, with
-each phase supplying the graph of a batch. Every step's arrays replace the
-last in the phase's one parameter store, so no older store outlives its
-step; the removal phase keeps its best epoch as a shallow copy.
+each phase supplying the graph of a batch. Every step writes into the
+arrays of the phase's one parameter store, in place, so a step allocates
+no parameter-sized array; the removal phase keeps its best epoch as a copy.
 
 Three independent RNG streams (model, data, adversary) keep runs
 reproducible and make zero-scale adversarial runs bit-identical to plain
@@ -27,12 +27,16 @@ from . import adversarial as adv
 from . import evaluation as ev
 from . import multvae as mv
 from .data import FoldData, InteractionDataset, UserAttributes, class_weights
-from .errors import ConfigError, TrainingDiverged
+from .errors import ConfigError, ContractError, TrainingDiverged
+
+
+ADAM_BLOCK = 16_384  # elements per Adam block: its two float64 scratch rows (256 KB) stay in L2
 
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators plus the shared step counter."""
+    """First/second moment accumulators, the shared step counter and the
+    scratch rows of one block, all allocated on the first step."""
 
     lr: float = 1e-3
     beta1: float = 0.9
@@ -41,33 +45,57 @@ class AdamState:
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
+    scratch: np.ndarray | None = None
 
 
-def adam_step(params: dict, grads: dict, state: AdamState) -> adv.Params:
-    """One bias-corrected Adam update; returns the next store, in fresh
-    arrays, and leaves ``params`` as it was."""
-    state.step += 1
-    t = state.step
-    corr1 = 1.0 - state.beta1**t
-    corr2 = 1.0 - state.beta2**t
-    updated = adv.Params()
+def adam_step(params: dict, grads: dict, state: AdamState) -> dict:
+    """One bias-corrected Adam update, written into ``params`` in place;
+    returns ``params``.
+
+    The update runs in blocks of ``ADAM_BLOCK`` elements through two
+    preallocated scratch rows, so a step allocates no parameter-sized
+    array. Each block does the operations of the textbook formula in its
+    order, ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g``,
+    ``p -= (lr * (m/c1)) / (sqrt(v/c2) + eps)``, so the result is the same
+    to the bit. Every gradient and parameter is checked before anything is
+    written: a non-finite gradient raises ``TrainingDiverged`` and a
+    parameter that cannot be written in place raises ``ContractError``, each
+    naming the parameter and leaving the parameters, the moments and the
+    step count as they were.
+    """
     for name, p in params.items():
-        g = grads[name]
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(grads[name]).all():
             raise TrainingDiverged(f"non-finite gradient for parameter {name!r}")
-        m = state.m.get(name)
-        v = state.v.get(name)
-        if m is None:
-            m = np.zeros_like(p)
-            v = np.zeros_like(p)
-        m = state.beta1 * m + (1.0 - state.beta1) * g
-        v = state.beta2 * v + (1.0 - state.beta2) * (g * g)
-        state.m[name] = m
-        state.v[name] = v
-        m_hat = m / corr1
-        v_hat = v / corr2
-        updated[name] = p - state.lr * m_hat / (np.sqrt(v_hat) + state.epsilon)
-    return updated
+        if not (p.flags.c_contiguous and p.flags.writeable):
+            raise ContractError(f"parameter {name!r} must be a writeable C-contiguous array to be updated in place")
+    state.step += 1
+    corr1 = 1.0 - state.beta1**state.step
+    corr2 = 1.0 - state.beta2**state.step
+    if state.scratch is None:
+        state.scratch = np.empty((2, ADAM_BLOCK))
+    for name, p in params.items():
+        if name not in state.m:
+            state.m[name] = np.zeros_like(p)
+            state.v[name] = np.zeros_like(p)
+        flat = p.reshape(-1), grads[name].reshape(-1), state.m[name].reshape(-1), state.v[name].reshape(-1)
+        for start in range(0, p.size, ADAM_BLOCK):
+            p_b, g_b, m_b, v_b = (arr[start : start + ADAM_BLOCK] for arr in flat)
+            a, b = state.scratch[:, : p_b.size]
+            np.multiply(m_b, state.beta1, out=m_b)
+            np.multiply(g_b, 1.0 - state.beta1, out=a)
+            np.add(m_b, a, out=m_b)
+            np.multiply(g_b, g_b, out=a)
+            np.multiply(a, 1.0 - state.beta2, out=a)
+            np.multiply(v_b, state.beta2, out=v_b)
+            np.add(v_b, a, out=v_b)
+            np.divide(v_b, corr2, out=a)
+            np.sqrt(a, out=a)
+            np.add(a, state.epsilon, out=a)
+            np.divide(m_b, corr1, out=b)
+            np.multiply(b, state.lr, out=b)
+            np.divide(b, a, out=b)
+            np.subtract(p_b, b, out=p_b)
+    return params
 
 
 @dataclass
@@ -258,9 +286,8 @@ def run_epoch(params: dict, n_rows: int, rng: np.random.Generator, batch_size: i
 
     ``graph(params, batch_rows, step)`` builds one batch's
     ``(loss, named_losses, tape, leaves)``; ``step`` counts the updates made
-    before this one. Each step's arrays go into ``params`` in place of the
-    last, so no older store outlives the step. Returns each named loss
-    averaged over the batches.
+    before this one. Each step updates the arrays of ``params`` in place.
+    Returns each named loss averaged over the batches.
     """
     order = rng.permutation(n_rows)
     starts = range(0, n_rows, batch_size)
@@ -272,7 +299,7 @@ def run_epoch(params: dict, n_rows: int, rng: np.random.Generator, batch_size: i
             raise TrainingDiverged(f"loss became non-finite at {where}")
         grad_map = tape.backward(loss)
         try:
-            params.update(adam_step(params, {name: grad_map[leaf] for name, leaf in leaves.items()}, optimizer))
+            adam_step(params, {name: grad_map[leaf] for name, leaf in leaves.items()}, optimizer)
         except TrainingDiverged as err:
             raise TrainingDiverged(f"{err} ({where})") from None
         for name, tensor in named.items():
@@ -332,9 +359,8 @@ def train_adversarial_phase(
             entry["val_ndcg"] = val_ndcg
             if val_ndcg > best_ndcg:
                 best_ndcg = val_ndcg
-                # A shallow copy is a snapshot only because no step writes an
-                # array in place; an in-place optimizer must copy the arrays here.
-                best_params = adv.Params(model)
+                # every step writes the model's arrays in place, so the snapshot copies them
+                best_params = adv.Params({name: arr.copy() for name, arr in model.items()})
                 best_epoch = epoch
         log.append(entry)
 

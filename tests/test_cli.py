@@ -124,6 +124,9 @@ def test_negative_master_seed_is_rejected(tmp_path, capsys):
 @pytest.mark.parametrize("settings", [
     {"data.item_subsample": "-3"}, {"data.item_subsample": "20", "data.subsample_seed": "-1"},
     {"data.age_cap": "0"}, {"data.age_cap": "-5"}, {"data.age_cap": "nan"}, {"data.age_cap": "inf"},
+    {"data.k_core": "0"}, {"data.k_core": "-2"},
+    # checked before the inputs are opened, so a missing file does not mask it
+    {"data.interactions": "no-such-dir/interactions.tsv", "data.k_core": "0"},
 ], ids=lambda settings: ",".join(f"{key}={value}" for key, value in settings.items()))
 def test_preprocess_rejects_out_of_range_settings(tmp_path, capsys, settings):
     write_raw_tsvs(tmp_path)

@@ -1,5 +1,5 @@
 import dataclasses
-import weakref
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ from advrec import multvae as mv
 from advrec import training as tr
 from advrec.config import load_config
 from advrec.data import make_folds, prepare_fold
-from advrec.errors import TrainingDiverged
+from advrec.errors import ContractError, TrainingDiverged
 from advrec.synthetic import planted_dataset
 
 
@@ -44,9 +44,63 @@ def enc_dec_bytes(model):
 def test_adam_first_step_closed_form():
     state = tr.AdamState(lr=1e-3)
     params = {"w": np.array([0.0])}
+    before = params["w"].copy()
     updated = tr.adam_step(params, {"w": np.array([1.0])}, state)
-    delta = updated["w"][0] - params["w"][0]
+    delta = updated["w"][0] - before[0]
     assert abs(delta + 0.001) < 1e-6
+
+
+def reference_adam_step(params, grads, state, moments):
+    """The out-of-place textbook update, kept as the oracle for the fused one."""
+    step = state.step + 1
+    corr1 = 1.0 - state.beta1**step
+    corr2 = 1.0 - state.beta2**step
+    updated = {}
+    for name, p in params.items():
+        g = grads[name]
+        m, v = moments.get(name, (np.zeros_like(p), np.zeros_like(p)))
+        m = state.beta1 * m + (1.0 - state.beta1) * g
+        v = state.beta2 * v + (1.0 - state.beta2) * (g * g)
+        moments[name] = m, v
+        updated[name] = p - state.lr * (m / corr1) / (np.sqrt(v / corr2) + state.epsilon)
+    return updated
+
+
+def test_fused_adam_matches_the_textbook_formula_bit_for_bit():
+    rng = np.random.default_rng(5)
+    shapes = {"one": (1,), "short": (tr.ADAM_BLOCK - 1,), "block": (tr.ADAM_BLOCK,),
+              "over": (tr.ADAM_BLOCK + 3,), "weight": (130, 257)}
+    params = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
+    expected = {name: p.copy() for name, p in params.items()}
+    state, moments = tr.AdamState(lr=3e-3), {}
+    for _ in range(6):
+        grads = {name: rng.standard_normal(shape) * rng.choice([1e-6, 1.0, 1e3]) for name, shape in shapes.items()}
+        expected = reference_adam_step(expected, grads, state, moments)
+        assert tr.adam_step(params, grads, state) is params
+        for name in shapes:
+            assert params[name].tobytes() == expected[name].tobytes(), name
+            assert state.m[name].tobytes() == moments[name][0].tobytes(), name
+            assert state.v[name].tobytes() == moments[name][1].tobytes(), name
+    assert state.step == 6
+
+
+def test_adam_step_with_a_non_finite_last_gradient_changes_nothing():
+    rng = np.random.default_rng(6)
+    shapes = {"first": (tr.ADAM_BLOCK + 3,), "middle": (4, 5), "last": (7,)}
+    params = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
+    state = tr.AdamState()
+    for _ in range(2):
+        tr.adam_step(params, {name: rng.standard_normal(shape) for name, shape in shapes.items()}, state)
+    before = {name: (params[name].copy(), state.m[name].copy(), state.v[name].copy()) for name in shapes}
+    grads = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
+    grads["last"][3] = np.nan
+    with pytest.raises(TrainingDiverged) as err:
+        tr.adam_step(params, grads, state)
+    assert "'last'" in str(err.value)
+    assert state.step == 2
+    for name, arrays in before.items():
+        for old, new in zip(arrays, (params[name], state.m[name], state.v[name])):
+            assert old.tobytes() == new.tobytes(), name
 
 
 def test_adam_zero_gradient_leaves_parameters_unchanged():
@@ -62,6 +116,20 @@ def test_adam_rejects_non_finite_gradient_naming_parameter():
     with pytest.raises(TrainingDiverged) as err:
         tr.adam_step({"enc.mu_w": np.zeros(2)}, {"enc.mu_w": np.array([1.0, np.nan])}, state)
     assert "enc.mu_w" in str(err.value)
+
+
+@pytest.mark.parametrize("unwritable", ["read-only", "transposed"])
+def test_adam_step_rejects_a_parameter_it_cannot_update_in_place(unwritable):
+    params = {"first": np.arange(6.0), "last": np.arange(6.0).reshape(2, 3)}
+    if unwritable == "read-only":
+        params["last"].flags.writeable = False
+    else:
+        params["last"] = params["last"].T
+    state = tr.AdamState()
+    with pytest.raises(ContractError) as err:
+        tr.adam_step(params, {name: np.ones_like(p) for name, p in params.items()}, state)
+    assert "'last'" in str(err.value)
+    assert state.step == 0 and state.m == {} and np.array_equal(params["first"], np.arange(6.0))
 
 
 def test_default_epoch_counts_follow_protocol():
@@ -147,23 +215,47 @@ def test_no_parameter_store_outlives_its_step(monkeypatch):
     dataset, attrs, fold, config = tiny_setup(epochs_adversarial=3, lambdas={"gender": 1.0, "age": 1.0})
     assert config.val_every == 0  # no validation, so no epoch is kept as the best
     init_model, adam_step = tr.init_model, tr.adam_step
-    initial, alive = [], []
+    initial, same_arrays, peaks = {}, [], []
 
     def tracked_init(*args):
         model = init_model(*args)
-        initial.extend(weakref.ref(arr) for arr in model.values())
+        initial.update(model)
         return model
 
-    def counted_step(params, grads, state):
-        if state.step == 3:  # the fourth step
-            alive.append(sum(ref() is not None for ref in initial))
-        return adam_step(params, grads, state)
+    def checked_step(params, grads, state):
+        if state.step == 0:
+            result = adam_step(params, grads, state)  # allocates the moments and the scratch rows
+        else:
+            tracemalloc.start()
+            try:
+                result = adam_step(params, grads, state)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        if len(same_arrays) < 4:
+            same_arrays.append(result is params and params.keys() == initial.keys()
+                               and all(params[name] is arr for name, arr in initial.items()))
+        return result
 
     monkeypatch.setattr(tr, "init_model", tracked_init)
-    monkeypatch.setattr(tr, "adam_step", counted_step)
+    monkeypatch.setattr(tr, "adam_step", checked_step)
     specs = tr.build_specs(attrs, config.lambdas, fold.split.train)
-    tr.train_adversarial_phase(dataset, attrs, specs, fold, config)
-    assert initial and alive == [0]
+    result = tr.train_adversarial_phase(dataset, attrs, specs, fold, config)
+    assert same_arrays == [True] * 4
+    assert all(result.final_params[name] is arr for name, arr in initial.items())
+    largest = max(arr.nbytes for arr in initial.values())
+    assert peaks and max(peaks) < largest, (max(peaks), largest)
+
+
+def test_best_epoch_snapshot_shares_no_memory_with_the_final_store():
+    dataset, attrs, fold, config = tiny_setup(epochs_adversarial=4, val_every=1, selection="best",
+                                              lambdas={"gender": 1.0})
+    specs = tr.build_specs(attrs, config.lambdas, fold.split.train)
+    result = tr.train_adversarial_phase(dataset, attrs, specs, fold, config)
+    assert result.best_params.keys() == result.final_params.keys()
+    for name, best in result.best_params.items():
+        for final in result.final_params.values():
+            assert not np.shares_memory(best, final), name
 
 
 def test_attack_phase_leaves_model_frozen():
