@@ -195,7 +195,6 @@ class ObjectiveParts:
     nll: Tensor
     kl: Tensor
     adv: dict[str, Tensor]
-    state: mv.LatentState
 
 
 def total_objective(
@@ -207,7 +206,6 @@ def total_objective(
     rng: np.random.Generator,
     training: bool = True,
     dropout_keep: float = 0.5,
-    activation: str = "tanh",
 ) -> tuple[ObjectiveParts, Tape, dict[str, Tensor]]:
     """Joint objective: recommender loss plus the reversed losses of the
     heads in ``specs``.
@@ -219,18 +217,12 @@ def total_objective(
     tape = Tape()
     graph = ("enc.", "dec.") + tuple(f"head.{spec.name}." for spec in specs)
     leaves = {name: tape.leaf(arr, name=name) for name, arr in model.items() if name.startswith(graph)}
-    mult, parts = mv.multvae_loss(
-        x, leaves, beta, rng, training=training, dropout_keep=dropout_keep, activation=activation,
-    )
+    mult, parts = mv.multvae_loss(x, leaves, beta, rng, training=training, dropout_keep=dropout_keep)
     loss, adv_each = mult, {}
     if specs:
-        adv_total, adv_each = advx_loss(parts.state.z, leaves, specs, targets, reversed=True)
+        adv_total, adv_each = advx_loss(parts.z, leaves, specs, targets, reversed=True)
         loss = ad.add(mult, adv_total)
-    return (
-        ObjectiveParts(loss=loss, mult=mult, nll=parts.nll, kl=parts.kl, adv=adv_each, state=parts.state),
-        tape,
-        leaves,
-    )
+    return ObjectiveParts(loss=loss, mult=mult, nll=parts.nll, kl=parts.kl, adv=adv_each), tape, leaves
 
 
 def attacker_predictions(

@@ -155,8 +155,7 @@ def cmd_train(config: RunConfig) -> int:
     run = FoldRun.of(config)
     log.info("training %s on fold %d (%d train users)", run.label, run.fold.index, len(run.fold.split.train))
     result = tr.train_adversarial_phase(run.dataset, run.attrs, run.specs(), run.fold, run.train)
-    adv.save_checkpoint(os.path.join(run.out_dir, "checkpoint.bin"), result.selected(run.train.selection),
-                        run.train.to_meta())
+    adv.save_checkpoint(os.path.join(run.out_dir, "checkpoint.bin"), result.params, run.train.to_meta())
     ev.write_rows_csv(os.path.join(run.out_dir, "train_log.csv"), result.log)
     write_manifest(run.out_dir, config, command="train", model=run.label, fold=run.fold.index,
                    best_epoch=result.best_epoch, best_val_ndcg=result.best_val_ndcg)
@@ -186,7 +185,7 @@ def cmd_attack(config: RunConfig) -> int:
 
 def cmd_eval(config: RunConfig) -> int:
     run = FoldRun.of(config)
-    metrics, per_user = tr.rank_test_fold(run.model(), run.dataset, run.fold, run.train)
+    metrics, per_user = tr.rank_test_fold(run.model(), run.dataset, run.fold)
     save_container(
         os.path.join(run.out_dir, "eval_scores.bin"), per_user,
         {"kind": "eval-scores", "model": run.label, "fold": run.fold.index},
@@ -197,14 +196,14 @@ def cmd_eval(config: RunConfig) -> int:
 
 
 def cmd_grid(config: RunConfig, workers: int) -> int:
-    dataset, attrs = load_dataset(config)
     grid = config.grid()
     if not grid:
         raise ConfigError("grid command needs at least one grid.<attribute> key")
-    train_config = config.train_config()
-    splits = dp.make_folds(dataset.n_users, config["train.data_seed"], config["train.n_folds"])
+    train_config = config.train_config()  # checks every setting before the data is read
+    dataset, attrs = load_dataset(config)
+    splits = dp.make_folds(dataset.n_users, train_config.data_seed, config["train.n_folds"])
     folds = [
-        dp.prepare_fold(dataset, split, config["train.holdout_ratio"], config["train.data_seed"])
+        dp.prepare_fold(dataset, split, train_config.holdout_ratio, train_config.data_seed)
         for split in splits
     ]
     combos = tr.lambda_combinations(grid)
@@ -243,7 +242,7 @@ def cmd_export_embeddings(config: RunConfig) -> int:
     heads, _ = adv.load_attacker(attacker_path)
     specs = run.specs()
     test_users = run.fold.split.test
-    latents = tr.encode_users(run.dataset, test_users, model, run.train.activation)
+    latents = tr.encode_users(run.dataset, test_users, model)
     predictions = adv.attacker_predictions(latents, heads, specs)
     targets = run.attrs.targets()
 

@@ -254,6 +254,8 @@ def item_subsample(dataset: InteractionDataset, n_target: int, seed: int):
 
 def make_folds(user_count: int, seed: int, n_folds: int = 5) -> list[FoldSplit]:
     """Independent random splits per fold: 20% test, then 20% of the rest validation."""
+    if n_folds < 1:
+        raise ConfigError(f"n_folds must be >= 1, got {n_folds}")
     if user_count < n_folds:
         raise ConfigError(f"need at least {n_folds} users, got {user_count}")
     folds = []

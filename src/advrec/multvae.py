@@ -1,9 +1,10 @@
-"""Variational autoencoder recommender over implicit feedback.
+"""Variational autoencoder recommender over implicit feedback (MultVAE).
 
-Encoder maps a user's (row-normalized) binary interaction vector to
-Gaussian latent parameters, the decoder maps a latent sample back to item
-logits, and the loss is multinomial negative log-likelihood plus a scaled
-Gaussian KL term.
+The architecture is fixed: the encoder maps a user's L2-normalized binary
+interaction vector through one tanh hidden layer to the Gaussian latent
+parameters ``mu`` and ``logsigma``; the decoder maps a latent sample
+through one tanh hidden layer to item logits. The loss is multinomial
+negative log-likelihood plus a scaled Gaussian KL term.
 
 Parameters live in one flat dict: ``enc.<field>`` and ``dec.<field>``
 arrays, with fields and shapes as ``ENCODER`` and ``DECODER`` lay them out.
@@ -20,9 +21,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Array, Tape, Tensor
 from .errors import ConfigError, ContractError, DimensionError
-
-ACTIVATIONS = {"tanh": ad.tanh, "sigmoid": ad.sigmoid}
-
 
 # Parameter layouts: field -> dimension names. A weight is (fan-in, fan-out).
 ENCODER = {
@@ -45,7 +43,6 @@ DECODER = {
 class LatentState:
     mu: Tensor
     logsigma: Tensor
-    z: Tensor | None = None
 
 
 def init_layout(prefix: str, layout: dict, sizes: dict, rng: np.random.Generator) -> dict[str, Array]:
@@ -87,7 +84,6 @@ def encode(
     dropout_keep: float,
     rng: np.random.Generator | None,
     training: bool,
-    activation: str = "tanh",
 ) -> LatentState:
     """Map interaction rows to latent Gaussian parameters.
 
@@ -103,9 +99,8 @@ def encode(
     if training and dropout_keep < 1.0:
         mask = rng.random(x.shape) < dropout_keep
         xn = xn * mask / dropout_keep
-    act = ACTIVATIONS[activation]
     x_in = params["enc.hidden_w"].tape.constant(xn, name="x")
-    h = act(ad.dense(x_in, params["enc.hidden_w"], params["enc.hidden_b"]))
+    h = ad.tanh(ad.dense(x_in, params["enc.hidden_w"], params["enc.hidden_b"]))
     mu = ad.dense(h, params["enc.mu_w"], params["enc.mu_b"])
     logsigma = ad.dense(h, params["enc.logsigma_w"], params["enc.logsigma_b"])
     return LatentState(mu=mu, logsigma=logsigma)
@@ -118,19 +113,15 @@ def reparameterize(state: LatentState, rng: np.random.Generator | None, training
             f"mu shape {state.mu.data.shape} differs from logsigma shape {state.logsigma.data.shape}"
         )
     if not training:
-        state.z = state.mu
         return state.mu
     eps = rng.standard_normal(state.mu.data.shape)
-    z = ad.add(state.mu, ad.mul_const(ad.exp(state.logsigma), eps))
-    state.z = z
-    return z
+    return ad.add(state.mu, ad.mul_const(ad.exp(state.logsigma), eps))
 
 
-def decode(z: Tensor, params: dict[str, Tensor], activation: str = "tanh") -> Tensor:
+def decode(z: Tensor, params: dict[str, Tensor]) -> Tensor:
     """Latent sample to item logits (softmax is folded into the loss), from
     the ``dec.*`` tensors of ``params``."""
-    act = ACTIVATIONS[activation]
-    h = act(ad.dense(z, params["dec.hidden_w"], params["dec.hidden_b"]))
+    h = ad.tanh(ad.dense(z, params["dec.hidden_w"], params["dec.hidden_b"]))
     return ad.dense(h, params["dec.out_w"], params["dec.out_b"])
 
 
@@ -179,7 +170,8 @@ def kl_gaussian(mu: Tensor, logsigma: Tensor) -> Tensor:
 class LossParts:
     nll: Tensor
     kl: Tensor
-    state: LatentState
+    mu: Tensor
+    z: Tensor
 
 
 def multvae_loss(
@@ -189,30 +181,29 @@ def multvae_loss(
     rng: np.random.Generator | None,
     training: bool = True,
     dropout_keep: float = 0.5,
-    activation: str = "tanh",
 ) -> tuple[Tensor, LossParts]:
     """Reconstruction NLL plus ``beta`` times the KL term, to be minimized."""
     if beta < 0:
         raise ConfigError(f"beta must be >= 0, got {beta}")
-    state = encode(x, params, dropout_keep, rng, training, activation)
+    state = encode(x, params, dropout_keep, rng, training)
     z = reparameterize(state, rng, training)
-    logits = decode(z, params, activation)
+    logits = decode(z, params)
     nll = multinomial_nll(logits, x)
     kl = kl_gaussian(state.mu, state.logsigma)
     loss = ad.add(nll, ad.mul_const(kl, beta))
-    return loss, LossParts(nll=nll, kl=kl, state=state)
+    return loss, LossParts(nll=nll, kl=kl, mu=state.mu, z=z)
 
 
-def encode_eval(x: Array, params: dict[str, Array], activation: str = "tanh") -> Array:
+def encode_eval(x: Array, params: dict[str, Array]) -> Array:
     """Latent mean of interaction rows: :func:`encode` without dropout, on
     constant parameters, so nothing is recorded for a backward pass."""
     tape = Tape()
     constants = {name: tape.constant(arr, name=name) for name, arr in params.items()}
-    return encode(x, constants, 1.0, None, False, activation).mu.data
+    return encode(x, constants, 1.0, None, False).mu.data
 
 
-def scores_eval(x: Array, params: dict[str, Array], activation: str = "tanh") -> Array:
+def scores_eval(x: Array, params: dict[str, Array]) -> Array:
     """Item logits for ranking, using the latent mean (no sampling, no dropout)."""
     tape = Tape()
-    mu = tape.constant(encode_eval(x, params, activation), name="mu")
-    return decode(mu, {name: tape.constant(arr, name=name) for name, arr in params.items()}, activation).data
+    mu = tape.constant(encode_eval(x, params), name="mu")
+    return decode(mu, {name: tape.constant(arr, name=name) for name, arr in params.items()}).data

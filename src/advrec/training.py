@@ -3,7 +3,9 @@
 Both phases are minibatch Adam through one loop, :func:`run_epoch`, with
 each phase supplying the graph of a batch. Every step writes into the
 arrays of the phase's one parameter store, in place, so a step allocates
-no parameter-sized array; the removal phase keeps its best epoch as a copy.
+no parameter-sized array. The removal phase returns the one store that
+``TrainConfig.selection`` picks; only ``"best"`` copies it, at each
+validation improvement.
 
 Three independent RNG streams (model, data, adversary) keep runs
 reproducible and make zero-scale adversarial runs bit-identical to plain
@@ -115,7 +117,6 @@ class TrainConfig:
     d_latent: int = 200
     d_adv_hidden: int = 128
     dropout_keep: float = 0.5
-    activation: str = "tanh"
     continuous_head: str = "sigmoid"  # "sigmoid" or "linear" output for continuous heads
     holdout_ratio: float = 0.2
     val_every: int = 1
@@ -136,6 +137,10 @@ class TrainConfig:
             ("adam_beta1", 0.0 <= self.adam_beta1 < 1.0, "in [0, 1)"),
             ("adam_beta2", 0.0 <= self.adam_beta2 < 1.0, "in [0, 1)"),
             ("adam_epsilon", self.adam_epsilon > 0.0, "> 0"),
+            ("d_hidden", self.d_hidden >= 1, ">= 1"),
+            ("d_latent", self.d_latent >= 1, ">= 1"),
+            ("dropout_keep", 0.0 < self.dropout_keep <= 1.0, "in (0, 1]"),
+            ("holdout_ratio", 0.0 < self.holdout_ratio < 1.0, "in (0, 1)"),
             ("d_adv_hidden", self.d_adv_hidden >= 1, ">= 1"),
             ("anneal_steps", self.anneal_steps >= 0, ">= 0"),
             ("val_every", self.val_every >= 0, ">= 0"),
@@ -147,8 +152,6 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be {bound}, got {getattr(self, name)}")
         if self.selection not in ("best", "final"):
             raise ConfigError(f"unknown selection mode {self.selection!r}")
-        if self.activation not in mv.ACTIVATIONS:
-            raise ConfigError(f"unknown activation {self.activation!r}")
         if self.continuous_head not in ("sigmoid", "linear"):
             raise ConfigError(f"unknown continuous_head {self.continuous_head!r}")
         for name, lam in self.lambdas.items():
@@ -211,24 +214,18 @@ def params_hash(named_iter) -> str:
 EVAL_CHUNK = 1024  # users per dense matrix at evaluation, which bounds its memory
 
 
-def encode_users(dataset: InteractionDataset, users, params: dict, activation: str) -> np.ndarray:
+def encode_users(dataset: InteractionDataset, users, params: dict) -> np.ndarray:
     """Latent means of ``users``, densified and encoded ``EVAL_CHUNK`` rows at a time."""
     latents = np.empty((len(users), params["enc.mu_b"].shape[0]))
     for start in range(0, len(users), EVAL_CHUNK):
         stop = start + EVAL_CHUNK
-        latents[start:stop] = mv.encode_eval(dataset.batch_matrix(users[start:stop]), params, activation)
+        latents[start:stop] = mv.encode_eval(dataset.batch_matrix(users[start:stop]), params)
     return latents
 
 
-def evaluate_ranking(
-    model: dict,
-    dataset: InteractionDataset,
-    foldin_rows,
-    holdout_rows,
-    config: TrainConfig,
-    k: int = 10,
-):
-    """NDCG@k and recall@k from fold-in rows against holdout rows."""
+def evaluate_ranking(model: dict, dataset: InteractionDataset, foldin_rows, holdout_rows):
+    """Per-user NDCG@10 and recall@10 from fold-in rows against holdout rows,
+    and whether each user was evaluated."""
     n = len(foldin_rows)
     ndcg = np.zeros(n)
     recall = np.zeros(n)
@@ -236,33 +233,34 @@ def evaluate_ranking(
     for start in range(0, n, EVAL_CHUNK):
         stop = min(n, start + EVAL_CHUNK)
         # the dense input is freed before ranking, which holds two more chunk-sized arrays
-        scores = mv.scores_eval(dataset.rows_matrix(foldin_rows[start:stop]), model, config.activation)
-        nd, rc, ok = ev.ranking_metrics(scores, foldin_rows[start:stop], holdout_rows[start:stop], k)
+        scores = mv.scores_eval(dataset.rows_matrix(foldin_rows[start:stop]), model)
+        nd, rc, ok = ev.ranking_metrics(scores, foldin_rows[start:stop], holdout_rows[start:stop])
         ndcg[start:stop] = nd
         recall[start:stop] = rc
         evaluated[start:stop] = ok
     return ndcg, recall, evaluated
 
 
-def rank_test_fold(model: dict, dataset: InteractionDataset, fold: FoldData, config: TrainConfig):
+def rank_test_fold(model: dict, dataset: InteractionDataset, fold: FoldData):
     """The test fold's NDCG@10 and recall@10 over its evaluated users, and
     the per-user values behind them (``test_users``, ``ndcg``, ``recall``,
     ``evaluated``)."""
-    ndcg, recall, evaluated = evaluate_ranking(model, dataset, fold.test_foldin, fold.test_holdout, config)
+    ndcg, recall, evaluated = evaluate_ranking(model, dataset, fold.test_foldin, fold.test_holdout)
     metrics = {"ndcg@10": ev.evaluated_mean(ndcg, evaluated), "recall@10": ev.evaluated_mean(recall, evaluated)}
     return metrics, {"test_users": fold.split.test.copy(), "ndcg": ndcg, "recall": recall, "evaluated": evaluated}
 
 
 @dataclass
 class TrainResult:
-    final_params: adv.Params
-    best_params: adv.Params
+    """``params`` is the store that ``config.selection`` picks: a copy taken
+    at ``best_epoch`` under ``"best"``, else (or with no validation) the store
+    as the last step left it. With no validation, ``best_epoch`` is the last
+    epoch and ``best_val_ndcg`` 0.0."""
+
+    params: adv.Params
     best_epoch: int
     best_val_ndcg: float
     log: list
-
-    def selected(self, selection: str) -> adv.Params:
-        return self.best_params if selection == "best" else self.final_params
 
 
 def init_model(
@@ -337,44 +335,36 @@ def train_adversarial_phase(
             model_rng,
             training=True,
             dropout_keep=config.dropout_keep,
-            activation=config.activation,
         )
         named = {"mult": parts.mult, "nll": parts.nll, "kl": parts.kl}
         named.update({f"adv_{name}": tensor for name, tensor in parts.adv.items()})
         return parts.loss, named, tape, leaves
 
     best_ndcg = -np.inf
-    best_params = None
     best_epoch = -1
+    snapshot = None
     log = []
     for epoch in range(config.epochs_adversarial):
         entry = {"epoch": epoch}
         entry.update(run_epoch(model, len(train_users), data_rng, config.batch_size, graph, optimizer, epoch))
         is_last = epoch == config.epochs_adversarial - 1
         if config.val_every and ((epoch + 1) % config.val_every == 0 or is_last):
-            ndcg, _, evaluated = evaluate_ranking(
-                model, dataset, fold.val_foldin, fold.val_holdout, config
-            )
+            ndcg, _, evaluated = evaluate_ranking(model, dataset, fold.val_foldin, fold.val_holdout)
             val_ndcg = ev.evaluated_mean(ndcg, evaluated)
             entry["val_ndcg"] = val_ndcg
             if val_ndcg > best_ndcg:
                 best_ndcg = val_ndcg
-                # every step writes the model's arrays in place, so the snapshot copies them
-                best_params = adv.Params({name: arr.copy() for name, arr in model.items()})
                 best_epoch = epoch
+                if config.selection == "best":
+                    # every step writes the model's arrays in place, so the snapshot copies them
+                    snapshot = adv.Params({name: arr.copy() for name, arr in model.items()})
         log.append(entry)
 
     if best_epoch < 0:
-        best_params = model
         best_epoch = config.epochs_adversarial - 1
         best_ndcg = 0.0
-    return TrainResult(
-        final_params=model,
-        best_params=best_params,
-        best_epoch=best_epoch,
-        best_val_ndcg=best_ndcg,
-        log=log,
-    )
+    return TrainResult(params=model if snapshot is None else snapshot, best_epoch=best_epoch,
+                       best_val_ndcg=best_ndcg, log=log)
 
 
 @dataclass
@@ -410,8 +400,8 @@ def train_attack_phase(
 
     train_users = fold.split.train
     test_users = fold.split.test
-    latents_train = encode_users(dataset, train_users, model, config.activation)
-    latents_test = encode_users(dataset, test_users, model, config.activation)
+    latents_train = encode_users(dataset, train_users, model)
+    latents_test = encode_users(dataset, test_users, model)
     targets_all = attrs.targets()
 
     def graph(params, rows, step):
@@ -478,9 +468,8 @@ def run_single(
     """Full protocol for one lambda combination on one fold."""
     specs = build_specs(attrs, config.lambdas, fold.split.train, config.continuous_head)
     train_result = train_adversarial_phase(dataset, attrs, specs, fold, config)
-    selected = train_result.selected(config.selection)
-    attack = train_attack_phase(selected, dataset, attrs, specs, fold, config)
-    ranking, ranking_per_user = rank_test_fold(selected, dataset, fold, config)
+    attack = train_attack_phase(train_result.params, dataset, attrs, specs, fold, config)
+    ranking, ranking_per_user = rank_test_fold(train_result.params, dataset, fold)
     return RunRecord(
         dataset_name=dataset_name,
         model=model_label(config.lambdas),
@@ -491,7 +480,7 @@ def run_single(
         train_log=train_result.log,
         attack_log=attack.log,
         best_epoch=train_result.best_epoch,
-        params=selected,
+        params=train_result.params,
         attacker_heads=attack.heads,
     )
 

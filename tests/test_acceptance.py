@@ -124,7 +124,7 @@ def test_criterion_3_zero_lambda_equivalence():
     )
     identical = True
     for (name_a, arr_a), (name_b, arr_b) in zip(
-        with_heads.final_params.items(), plain.final_params.items()
+        with_heads.params.items(), plain.params.items()
     ):
         if not name_a.startswith(("enc.", "dec.")):
             continue

@@ -104,6 +104,9 @@ def test_unknown_config_key_is_rejected(tmp_path, capsys):
     ("train.val_every", "-1"), ("train.anneal_steps", "-1"),
     ("train.beta_max", "nan"), ("train.beta_max", "inf"), ("lambda.gender", "nan"),
     ("train.model_seed", "-1"), ("train.data_seed", "-1"), ("train.adversary_seed", "-1"),
+    ("train.d_hidden", "0"), ("train.d_latent", "0"), ("train.dropout_keep", "0"),
+    ("train.dropout_keep", "nan"), ("train.dropout_keep", "1.5"), ("train.holdout_ratio", "0"),
+    ("train.holdout_ratio", "1"), ("train.holdout_ratio", "nan"),
 ])
 def test_train_rejects_out_of_range_settings(tmp_path, capsys, key, value):
     write_raw_tsvs(tmp_path)
@@ -111,6 +114,30 @@ def test_train_rejects_out_of_range_settings(tmp_path, capsys, key, value):
     assert main(["preprocess", "--config", str(config)]) == 0
     assert main(["train", "--config", str(config)]) == 2
     assert key.split(".")[1] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "grid"])
+def test_settings_are_checked_before_the_data_is_read(tmp_path, capsys, command):
+    config = write_config(tmp_path, **{"train.dropout_keep": "0", "grid.gender": "0,60"})
+    assert main([command, "--config", str(config)]) == 2  # no cache exists, and the setting is named first
+    assert "dropout_keep" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_grid_without_folds_is_rejected(workspace, capsys):
+    tmp_path, config = workspace
+    config.write_text(config.read_text() + "train.n_folds=0\ngrid.gender=0,60\n")
+    assert main(["preprocess", "--config", str(config)]) == 0
+    assert main(["grid", "--config", str(config)]) == 2
+    assert "n_folds" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_removed_activation_key_is_rejected(workspace, capsys):
+    _, config = workspace
+    config.write_text(config.read_text() + "train.activation=tanh\n")
+    assert main(["preprocess", "--config", str(config)]) == 2
+    assert "train.activation" in capsys.readouterr().err
 
 
 def test_negative_master_seed_is_rejected(tmp_path, capsys):

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -237,7 +239,7 @@ def test_cache_roundtrip_and_determinism(tmp_path):
     path_b = str(tmp_path / "b.cache")
     dp.save_cache(path_a, dataset, attrs, {"k_core": 5})
     dp.save_cache(path_b, dataset, attrs, {"k_core": 5})
-    assert open(path_a, "rb").read() == open(path_b, "rb").read()
+    assert Path(path_a).read_bytes() == Path(path_b).read_bytes()
     loaded, loaded_attrs, extra = dp.load_cache(path_a)
     assert extra == {"k_core": 5}
     assert loaded.n_users == dataset.n_users and loaded.n_items == dataset.n_items

@@ -189,6 +189,22 @@ def test_multvae_loss_beta_zero_equals_nll():
     assert float(loss.data) == float(parts.nll.data)
 
 
+def test_multvae_loss_parts_carry_mu_and_the_decoded_sample():
+    params = make_params(seed=5)
+    x = random_x(5, 8, seed=5)
+    _, parts = mv.multvae_loss(x, as_leaves(ad.Tape(), params), 0.2, None, training=False)
+    assert parts.z is parts.mu
+    assert np.array_equal(parts.mu.data, mv.encode_eval(x, params))
+
+    tape = ad.Tape()
+    leaves = as_leaves(tape, params)
+    _, parts = mv.multvae_loss(x, leaves, 0.2, np.random.default_rng(9), training=True, dropout_keep=1.0)
+    state = mv.encode(x, leaves, 1.0, None, training=True)
+    z = mv.reparameterize(state, np.random.default_rng(9), training=True)
+    assert np.array_equal(parts.mu.data, state.mu.data)
+    assert np.array_equal(parts.z.data, z.data) and not np.array_equal(z.data, state.mu.data)
+
+
 def test_multvae_loss_zero_information_encoder():
     params = make_params()
     for name in ("enc.hidden_w", "enc.mu_w", "enc.logsigma_w"):

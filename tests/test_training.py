@@ -152,7 +152,7 @@ def test_training_is_bit_deterministic():
         dataset, attrs, fold, config = tiny_setup(lambdas={"gender": 1.0, "age": 1.0})
         specs = tr.build_specs(attrs, config.lambdas, fold.split.train)
         result = tr.train_adversarial_phase(dataset, attrs, specs, fold, config)
-        results.append(tr.params_hash(result.final_params.items()))
+        results.append(tr.params_hash(result.params.items()))
     assert results[0] == results[1]
 
 
@@ -161,11 +161,11 @@ def test_epoch_log_length_matches_configuration():
     specs = tr.build_specs(attrs, {}, fold.split.train)
     result = tr.train_adversarial_phase(dataset, attrs, specs, fold, config)
     assert len(result.log) == 7
-    attack = tr.train_attack_phase(result.final_params, dataset, attrs,
+    attack = tr.train_attack_phase(result.params, dataset, attrs,
                                    tr.build_specs(attrs, {"gender": 0.0}, fold.split.train),
                                    fold, config)
     assert len(attack.log) == 3
-    nothing = tr.train_attack_phase(result.final_params, dataset, attrs, [], fold, config)
+    nothing = tr.train_attack_phase(result.params, dataset, attrs, [], fold, config)
     assert nothing.log == [{"epoch": e} for e in range(3)] and nothing.metrics == {}
 
 
@@ -180,7 +180,7 @@ def test_zero_lambda_run_matches_plain_training_bitwise():
     plain = tr.train_adversarial_phase(dataset, attrs, [], fold, plain_config)
 
     for (name_a, bytes_a), (name_b, bytes_b) in zip(
-        enc_dec_bytes(with_heads.final_params), enc_dec_bytes(plain.final_params)
+        enc_dec_bytes(with_heads.params), enc_dec_bytes(plain.params)
     ):
         assert name_a == name_b
         assert bytes_a == bytes_b, f"{name_a} diverged"
@@ -193,12 +193,9 @@ def test_divergence_aborts_with_location(monkeypatch):
         data = np.float64("nan")
 
     def bad_objective(*args, **kwargs):
-        parts = adv.ObjectiveParts(
-            loss=BadLoss(), mult=None, nll=None, kl=None, adv={}, state=None
-        )
-        return parts, None, {}
+        return adv.ObjectiveParts(loss=BadLoss(), mult=None, nll=None, kl=None, adv={}), None, {}
 
-    model = tr.train_adversarial_phase(dataset, attrs, [], fold, config).final_params
+    model = tr.train_adversarial_phase(dataset, attrs, [], fold, config).params
     monkeypatch.setattr(adv, "total_objective", bad_objective)
     with pytest.raises(TrainingDiverged) as err:
         tr.train_adversarial_phase(dataset, attrs, [], fold, config)
@@ -242,41 +239,43 @@ def test_no_parameter_store_outlives_its_step(monkeypatch):
     specs = tr.build_specs(attrs, config.lambdas, fold.split.train)
     result = tr.train_adversarial_phase(dataset, attrs, specs, fold, config)
     assert same_arrays == [True] * 4
-    assert all(result.final_params[name] is arr for name, arr in initial.items())
+    assert all(result.params[name] is arr for name, arr in initial.items())
     largest = max(arr.nbytes for arr in initial.values())
     assert peaks and max(peaks) < largest, (max(peaks), largest)
 
 
-def test_best_epoch_snapshot_shares_no_memory_with_the_final_store():
-    dataset, attrs, fold, config = tiny_setup(epochs_adversarial=4, val_every=1, selection="best",
+def test_best_selection_returns_the_store_of_a_run_stopped_at_the_best_epoch():
+    dataset, attrs, fold, config = tiny_setup(epochs_adversarial=8, val_every=1, selection="best",
                                               lambdas={"gender": 1.0})
     specs = tr.build_specs(attrs, config.lambdas, fold.split.train)
-    result = tr.train_adversarial_phase(dataset, attrs, specs, fold, config)
-    assert result.best_params.keys() == result.final_params.keys()
-    for name, best in result.best_params.items():
-        for final in result.final_params.values():
-            assert not np.shares_memory(best, final), name
+    best = tr.train_adversarial_phase(dataset, attrs, specs, fold, config)
+    assert best.best_epoch < config.epochs_adversarial - 1  # later steps change the live store
+    stopped_config = dataclasses.replace(config, epochs_adversarial=best.best_epoch + 1, selection="final")
+    stopped = tr.train_adversarial_phase(dataset, attrs, specs, fold, stopped_config)
+    assert best.params.keys() == stopped.params.keys()
+    for name, arr in stopped.params.items():
+        assert best.params[name].tobytes() == arr.tobytes(), name
 
 
 def test_attack_phase_leaves_model_frozen():
     dataset, attrs, fold, config = tiny_setup(lambdas={"gender": 0.0})
     specs = tr.build_specs(attrs, config.lambdas, fold.split.train)
     result = tr.train_adversarial_phase(dataset, attrs, specs, fold, config)
-    before = tr.params_hash(result.final_params.items())
-    for arr in result.final_params.values():
+    before = tr.params_hash(result.params.items())
+    for arr in result.params.values():
         arr.setflags(write=False)  # numpy refuses any write into the model
-    tr.train_attack_phase(result.final_params, dataset, attrs, specs, fold, config)
-    after = tr.params_hash(result.final_params.items())
+    tr.train_attack_phase(result.params, dataset, attrs, specs, fold, config)
+    after = tr.params_hash(result.params.items())
     assert before == after
 
 
 def test_chunked_encoding_matches_one_full_matrix():
     n_users = tr.EVAL_CHUNK + 300
-    dataset, _, _, config = tiny_setup(n_users=n_users, n_items=20)
+    dataset, _, _, _ = tiny_setup(n_users=n_users, n_items=20)
     encoder = mv.init_encoder(dataset.n_items, 6, 3, np.random.default_rng(5))
     users = np.random.default_rng(6).permutation(n_users)
-    chunked = tr.encode_users(dataset, users, encoder, config.activation)
-    full = mv.encode_eval(dataset.batch_matrix(users), encoder, config.activation)
+    chunked = tr.encode_users(dataset, users, encoder)
+    full = mv.encode_eval(dataset.batch_matrix(users), encoder)
     assert chunked.shape == (n_users, 3)
     assert np.max(np.abs(chunked - full)) <= 1e-12
 
