@@ -12,7 +12,7 @@ scores_a = rng.beta(2, 5, size=n)
 scores_b = np.clip(scores_a + 0.02 + 0.05 * rng.standard_normal(n), 0, 1)
 result = ev.wilcoxon_signed_rank(scores_b, scores_a)
 print(f"model B vs A: W={result.statistic:.1f}, p={result.p_value:.2e}, "
-      f"significant at 0.05: {result.significant}")
+      f"significant at {ev.ALPHA}: {result.significant}")
 
 same = ev.wilcoxon_signed_rank(scores_a, scores_a)
 print(f"model A vs itself: degenerate={same.degenerate}, p={same.p_value}")

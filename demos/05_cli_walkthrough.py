@@ -11,7 +11,7 @@ from pathlib import Path
 
 from advrec.synthetic import planted_dataset
 
-work = tempfile.TemporaryDirectory(prefix="advrec-demo-")  # removed when the demo exits
+work = tempfile.TemporaryDirectory(prefix="advrec-demo-")  # removed at the end of the demo
 workdir = Path(work.name)
 print(f"working in {workdir}")
 
@@ -67,3 +67,5 @@ print(f"\nartifacts under {workdir}/runs:")
 for path in sorted((workdir / "runs").rglob("*")):
     if path.is_file():
         print(f"  {path.relative_to(workdir)}")
+
+work.cleanup()

@@ -16,7 +16,6 @@ This module owns those names and the checkpoint files.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,8 +49,8 @@ class AttributeSpec:
     def __post_init__(self):
         if self.kind not in (CATEGORICAL, CONTINUOUS):
             raise ConfigError(f"attribute {self.name!r}: unknown kind {self.kind!r}")
-        if self.lam < 0:
-            raise ConfigError(f"attribute {self.name!r}: lambda must be >= 0, got {self.lam}")
+        if not 0.0 <= self.lam < np.inf:  # negated, so that NaN fails it too
+            raise ConfigError(f"attribute {self.name!r}: lambda must be finite and >= 0, got {self.lam}")
         if self.kind == CATEGORICAL:
             if self.n_classes < 2:
                 raise ConfigError(f"attribute {self.name!r}: needs >= 2 classes, got {self.n_classes}")
@@ -98,19 +97,17 @@ def init_heads(
     return params
 
 
-def adv_forward(
-    z: Tensor, params: dict[str, Tensor], spec: AttributeSpec, reversed: bool, role: str = "head"
-) -> Tensor:
+def adv_forward(z: Tensor, params: dict[str, Tensor], spec: AttributeSpec, role: str = "head") -> Tensor:
     """Predict an attribute from ``z`` with the ``<role>.<attr>.*`` tensors.
 
-    ``reversed=True`` routes ``z`` through gradient reversal at the
-    attribute's scale first (removal phase); ``reversed=False`` is the plain
-    forward used by the attacker. Categorical heads emit logits, continuous
-    heads a single sigmoid-squashed value per row.
+    ``z`` passes through gradient reversal at the attribute's scale first.
+    Reversal acts only on gradients, so on a constant ``z``, as the attacker
+    reads its latents, it records nothing and the forward is the plain one.
+    Categorical heads emit logits; continuous heads one value per row,
+    sigmoid-squashed when ``spec.squash`` is set.
     """
     prefix = f"{role}.{spec.name}"
-    zin = ad.grl(z, spec.lam) if reversed else z
-    h = ad.tanh(ad.dense(zin, params[f"{prefix}.hidden_w"], params[f"{prefix}.hidden_b"]))
+    h = ad.tanh(ad.dense(ad.grl(z, spec.lam), params[f"{prefix}.hidden_w"], params[f"{prefix}.hidden_b"]))
     out = ad.dense(h, params[f"{prefix}.out_w"], params[f"{prefix}.out_b"])
     if spec.kind == CONTINUOUS and spec.squash:
         out = ad.sigmoid(out)
@@ -170,7 +167,6 @@ def advx_loss(
     params: dict[str, Tensor],
     specs: list[AttributeSpec],
     targets: dict[str, Array],
-    reversed: bool = True,
     role: str = "head",
 ) -> tuple[Tensor, dict[str, Tensor]]:
     """Sum of per-attribute head losses, each behind its own reversal scale."""
@@ -181,7 +177,7 @@ def advx_loss(
     for spec in specs:
         if spec.name not in targets:
             raise DataError(f"no target column for attribute {spec.name!r}")
-        pred = adv_forward(z, params, spec, reversed, role)
+        pred = adv_forward(z, params, spec, role)
         loss_k = attribute_loss(pred, spec, targets[spec.name])
         per_attr[spec.name] = loss_k
         total = loss_k if total is None else ad.add(total, loss_k)
@@ -220,7 +216,7 @@ def total_objective(
     mult, parts = mv.multvae_loss(x, leaves, beta, rng, training=training, dropout_keep=dropout_keep)
     loss, adv_each = mult, {}
     if specs:
-        adv_total, adv_each = advx_loss(parts.z, leaves, specs, targets, reversed=True)
+        adv_total, adv_each = advx_loss(parts.z, leaves, specs, targets)
         loss = ad.add(mult, adv_total)
     return ObjectiveParts(loss=loss, mult=mult, nll=parts.nll, kl=parts.kl, adv=adv_each), tape, leaves
 
@@ -238,7 +234,7 @@ def attacker_predictions(
     for spec in specs:
         if f"attacker.{spec.name}.out_b" not in attackers:
             raise DataError(f"no attacker for attribute {spec.name!r}; run the attack command for it")
-        out = adv_forward(z, constants, spec, reversed=False, role="attacker").data
+        out = adv_forward(z, constants, spec, role="attacker").data
         predictions[spec.name] = out.argmax(axis=1) if spec.kind == CATEGORICAL else out.reshape(-1)
     return predictions
 
@@ -254,7 +250,7 @@ def attacker_loss_graph(
     tape = Tape()
     leaves = {name: tape.leaf(arr, name=name) for name, arr in attackers.items()}
     z = tape.constant(latents, name="latents")
-    total, per_attr = advx_loss(z, leaves, specs, targets, reversed=False, role="attacker")
+    total, per_attr = advx_loss(z, leaves, specs, targets, role="attacker")
     return total, per_attr, tape, leaves
 
 
@@ -318,19 +314,16 @@ def load_attacker(path: str) -> tuple[Params, dict]:
     return checked_params(path, arrays, {f"attacker.{attr}": HEAD for attr in attrs}), meta
 
 
-def specs_meta(specs: list[AttributeSpec]) -> str:
-    """JSON description of attribute specs for manifests."""
-    return json.dumps(
-        [
-            {
-                "name": s.name,
-                "kind": s.kind,
-                "n_classes": s.n_classes,
-                "lambda": s.lam,
-                "squash": s.squash,
-                "class_weights": None if s.class_weights is None else list(map(float, s.class_weights)),
-            }
-            for s in specs
-        ],
-        sort_keys=True,
-    )
+def specs_meta(specs: list[AttributeSpec]) -> list[dict]:
+    """JSON-ready description of attribute specs for file headers."""
+    return [
+        {
+            "name": s.name,
+            "kind": s.kind,
+            "n_classes": s.n_classes,
+            "lambda": s.lam,
+            "squash": s.squash,
+            "class_weights": None if s.class_weights is None else list(map(float, s.class_weights)),
+        }
+        for s in specs
+    ]

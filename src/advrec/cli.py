@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import logging
@@ -171,7 +172,7 @@ def cmd_attack(config: RunConfig) -> int:
     adv.save_attacker(
         os.path.join(run.out_dir, "attacker.bin"),
         result.heads,
-        {"model": run.label, "fold": run.fold.index, "attributes": json.loads(adv.specs_meta(specs))},
+        {"model": run.label, "fold": run.fold.index, "attributes": adv.specs_meta(specs)},
     )
     save_container(
         os.path.join(run.out_dir, "attack_scores.bin"), result.per_user,
@@ -199,14 +200,16 @@ def cmd_grid(config: RunConfig, workers: int) -> int:
     grid = config.grid()
     if not grid:
         raise ConfigError("grid command needs at least one grid.<attribute> key")
-    train_config = config.train_config()  # checks every setting before the data is read
+    train_config = config.train_config()
+    combos = tr.lambda_combinations(grid)
+    for combo in combos:  # every unit's settings are checked before the data is read
+        dataclasses.replace(train_config, lambdas=combo).validate()
     dataset, attrs = load_dataset(config)
     splits = dp.make_folds(dataset.n_users, train_config.data_seed, config["train.n_folds"])
     folds = [
         dp.prepare_fold(dataset, split, train_config.holdout_ratio, train_config.data_seed)
         for split in splits
     ]
-    combos = tr.lambda_combinations(grid)
     log.info("grid: %d combinations x %d folds, %d workers", len(combos), len(folds), workers)
     outcome = tr.grid_search(
         dataset, attrs, grid, folds, train_config, dataset_name=config["data.name"], workers=workers
@@ -239,8 +242,10 @@ def cmd_export_embeddings(config: RunConfig) -> int:
     attacker_path = os.path.join(run.out_dir, "attacker.bin")
     if not os.path.exists(attacker_path):
         raise DataError(f"no attacker at {attacker_path!r}; run the attack command first")
-    heads, _ = adv.load_attacker(attacker_path)
-    specs = run.specs()
+    heads, meta = adv.load_attacker(attacker_path)
+    # continuous outputs are squashed as the loaded attackers were trained, whatever the config says now
+    squash = {attr["name"]: attr["squash"] for attr in meta.get("attributes", [])}
+    specs = [dataclasses.replace(spec, squash=squash.get(spec.name, spec.squash)) for spec in run.specs()]
     test_users = run.fold.split.test
     latents = tr.encode_users(run.dataset, test_users, model)
     predictions = adv.attacker_predictions(latents, heads, specs)
@@ -284,11 +289,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", metavar="DIR", help="output directory (overrides out.dir)")
         p.add_argument("--seed", type=int, metavar="N",
                        help="master seed; sets the model/data/adversary streams to N, N+1, N+2")
-        p.add_argument("--workers", type=int, default=1, metavar="N",
-                       help="concurrent runs for the grid command; workers keep the environment's BLAS "
-                            "thread count, and results repeat bit for bit only at a fixed thread count")
         p.add_argument("--lambda", dest="lambdas", action="append", default=[],
                        metavar="ATTR=VALUE", help="removal strength override (repeatable)")
+        if name == "grid":
+            p.add_argument("--workers", type=int, default=1, metavar="N",
+                           help="concurrent runs; workers keep the environment's BLAS thread count, "
+                                "and results repeat bit for bit only at a fixed thread count")
     return parser
 
 

@@ -105,13 +105,9 @@ class RunConfig:
         return rendered
 
 
-def load_config(path: str | None, overrides: dict[str, str] | None = None) -> RunConfig:
-    """Merge schema defaults, a config file and overrides, validating keys."""
-    raw: dict[str, str] = {}
-    if path is not None:
-        raw.update(parse_config_file(path))
-    if overrides:
-        raw.update(overrides)
+def load_config(path: str | None) -> RunConfig:
+    """Merge schema defaults and a config file, validating keys."""
+    raw = parse_config_file(path) if path is not None else {}
     unknown = sorted(set(raw) - set(SCHEMA))
     if unknown:
         raise ConfigError(f"unknown configuration keys: {', '.join(unknown)}")

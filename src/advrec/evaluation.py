@@ -2,6 +2,7 @@
 
 Ranking works per chunk of users: :func:`ranking_metrics` masks, selects,
 sorts and scores a whole score matrix at once, with no loop over users.
+Each paired test calls its result significant at ``p <= ALPHA``.
 """
 
 from __future__ import annotations
@@ -98,6 +99,9 @@ def mae_metric(predictions, targets) -> float:
     return float(np.abs(predictions - targets).mean())
 
 
+ALPHA = 0.05  # significance level of every paired test
+
+
 @dataclass
 class TestResult:
     statistic: float
@@ -146,7 +150,7 @@ def _wilcoxon_exact_p(ranks: np.ndarray, statistic: float) -> float:
     return float(np.mean(mins <= statistic + 1e-9))
 
 
-def wilcoxon_signed_rank(scores_a, scores_b, alpha: float = 0.05) -> TestResult:
+def wilcoxon_signed_rank(scores_a, scores_b) -> TestResult:
     """Two-sided signed-rank test on paired scores.
 
     Zero differences are dropped and |differences| ranked with average ranks
@@ -172,17 +176,17 @@ def wilcoxon_signed_rank(scores_a, scores_b, alpha: float = 0.05) -> TestResult:
     statistic = min(w_plus, w_minus)
     if n <= _WILCOXON_EXACT_MAX_N:
         p = _wilcoxon_exact_p(ranks, statistic)
-        return TestResult(statistic=float(statistic), p_value=p, significant=p <= alpha)
+        return TestResult(statistic=float(statistic), p_value=p, significant=p <= ALPHA)
     mean = n * (n + 1) / 4.0
     var = n * (n + 1) * (2 * n + 1) / 24.0 - tie_term / 48.0
     if var <= 0:
         return TestResult(statistic=statistic, p_value=1.0, significant=False, degenerate=True)
     z = (statistic - mean + 0.5) / math.sqrt(var)
     p = min(1.0, 2.0 * _normal_cdf(z))
-    return TestResult(statistic=float(statistic), p_value=p, significant=p <= alpha)
+    return TestResult(statistic=float(statistic), p_value=p, significant=p <= ALPHA)
 
 
-def mcnemar_test(correct_a, correct_b, alpha: float = 0.05) -> TestResult:
+def mcnemar_test(correct_a, correct_b) -> TestResult:
     """Continuity-corrected McNemar test on paired correctness indicators."""
     a = np.asarray(correct_a, dtype=bool)
     b = np.asarray(correct_b, dtype=bool)
@@ -195,10 +199,10 @@ def mcnemar_test(correct_a, correct_b, alpha: float = 0.05) -> TestResult:
         return TestResult(statistic=0.0, p_value=1.0, significant=False, degenerate=True)
     statistic = (abs(only_a - only_b) - 1.0) ** 2 / discordant
     p = _chi2_sf_1dof(statistic)
-    return TestResult(statistic=float(statistic), p_value=p, significant=p <= alpha)
+    return TestResult(statistic=float(statistic), p_value=p, significant=p <= ALPHA)
 
 
-def paired_t_test(errors_a, errors_b, alpha: float = 0.05) -> TestResult:
+def paired_t_test(errors_a, errors_b) -> TestResult:
     """Two-sided paired t-test; p from the regularized incomplete beta."""
     a = np.asarray(errors_a, dtype=np.float64)
     b = np.asarray(errors_b, dtype=np.float64)
@@ -212,11 +216,11 @@ def paired_t_test(errors_a, errors_b, alpha: float = 0.05) -> TestResult:
     if sd == 0.0:
         p = 1.0 if d.mean() == 0.0 else 0.0
         return TestResult(statistic=0.0 if d.mean() == 0.0 else math.inf, p_value=p,
-                          significant=p <= alpha, degenerate=True)
+                          significant=p <= ALPHA, degenerate=True)
     t = d.mean() / (sd / math.sqrt(n))
     dof = n - 1
     p = float(betainc(dof / 2.0, 0.5, dof / (dof + t * t)))
-    return TestResult(statistic=float(t), p_value=p, significant=p <= alpha)
+    return TestResult(statistic=float(t), p_value=p, significant=p <= ALPHA)
 
 
 def as_percent(value: float) -> float:

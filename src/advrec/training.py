@@ -33,17 +33,18 @@ from .errors import ConfigError, ContractError, TrainingDiverged
 
 
 ADAM_BLOCK = 16_384  # elements per Adam block: its two float64 scratch rows (256 KB) stay in L2
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
 
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators, the shared step counter and the
-    scratch rows of one block, all allocated on the first step."""
+    """Adam at rate ``lr`` with the fixed ``ADAM_BETA1``/``ADAM_BETA2``/``ADAM_EPSILON``:
+    moment accumulators, the shared step counter and the scratch rows of
+    one block, all allocated on the first step."""
 
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
+    lr: float
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
@@ -71,8 +72,8 @@ def adam_step(params: dict, grads: dict, state: AdamState) -> dict:
         if not (p.flags.c_contiguous and p.flags.writeable):
             raise ContractError(f"parameter {name!r} must be a writeable C-contiguous array to be updated in place")
     state.step += 1
-    corr1 = 1.0 - state.beta1**state.step
-    corr2 = 1.0 - state.beta2**state.step
+    corr1 = 1.0 - ADAM_BETA1**state.step
+    corr2 = 1.0 - ADAM_BETA2**state.step
     if state.scratch is None:
         state.scratch = np.empty((2, ADAM_BLOCK))
     for name, p in params.items():
@@ -83,16 +84,16 @@ def adam_step(params: dict, grads: dict, state: AdamState) -> dict:
         for start in range(0, p.size, ADAM_BLOCK):
             p_b, g_b, m_b, v_b = (arr[start : start + ADAM_BLOCK] for arr in flat)
             a, b = state.scratch[:, : p_b.size]
-            np.multiply(m_b, state.beta1, out=m_b)
-            np.multiply(g_b, 1.0 - state.beta1, out=a)
+            np.multiply(m_b, ADAM_BETA1, out=m_b)
+            np.multiply(g_b, 1.0 - ADAM_BETA1, out=a)
             np.add(m_b, a, out=m_b)
             np.multiply(g_b, g_b, out=a)
-            np.multiply(a, 1.0 - state.beta2, out=a)
-            np.multiply(v_b, state.beta2, out=v_b)
+            np.multiply(a, 1.0 - ADAM_BETA2, out=a)
+            np.multiply(v_b, ADAM_BETA2, out=v_b)
             np.add(v_b, a, out=v_b)
             np.divide(v_b, corr2, out=a)
             np.sqrt(a, out=a)
-            np.add(a, state.epsilon, out=a)
+            np.add(a, ADAM_EPSILON, out=a)
             np.divide(m_b, corr1, out=b)
             np.multiply(b, state.lr, out=b)
             np.divide(b, a, out=b)
@@ -110,9 +111,6 @@ class TrainConfig:
     beta_max: float = 0.4
     anneal_steps: int = 10_000
     lr: float = 1e-3
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_epsilon: float = 1e-8
     d_hidden: int = 600
     d_latent: int = 200
     d_adv_hidden: int = 128
@@ -134,9 +132,6 @@ class TrainConfig:
             ("batch_size", self.batch_size >= 1, ">= 1"),
             ("beta_max", 0.0 <= self.beta_max < np.inf, "finite and >= 0"),
             ("lr", 0.0 < self.lr < np.inf, "finite and > 0"),
-            ("adam_beta1", 0.0 <= self.adam_beta1 < 1.0, "in [0, 1)"),
-            ("adam_beta2", 0.0 <= self.adam_beta2 < 1.0, "in [0, 1)"),
-            ("adam_epsilon", self.adam_epsilon > 0.0, "> 0"),
             ("d_hidden", self.d_hidden >= 1, ">= 1"),
             ("d_latent", self.d_latent >= 1, ">= 1"),
             ("dropout_keep", 0.0 < self.dropout_keep <= 1.0, "in (0, 1]"),
@@ -319,7 +314,7 @@ def train_adversarial_phase(
     adversary_rng = np.random.default_rng(config.adversary_seed)
 
     model = init_model(dataset, specs, config, model_rng, adversary_rng)
-    optimizer = AdamState(config.lr, config.adam_beta1, config.adam_beta2, config.adam_epsilon)
+    optimizer = AdamState(config.lr)
     targets_all = attrs.targets()
     train_users = fold.split.train
 
@@ -396,7 +391,7 @@ def train_attack_phase(
     shuffle_rng = np.random.default_rng([config.data_seed, 1001])
 
     heads = adv.init_heads("attacker", specs, config.d_latent, config.d_adv_hidden, head_rng)
-    optimizer = AdamState(config.lr, config.adam_beta1, config.adam_beta2, config.adam_epsilon)
+    optimizer = AdamState(config.lr)
 
     train_users = fold.split.train
     test_users = fold.split.test
@@ -443,7 +438,6 @@ class RunRecord:
     attack_log: list
     best_epoch: int
     params: adv.Params
-    attacker_heads: adv.Params
 
     def result_row(self) -> dict:
         return result_row(self.dataset_name, self.lambdas, self.fold, self.metrics)
@@ -481,7 +475,6 @@ def run_single(
         attack_log=attack.log,
         best_epoch=train_result.best_epoch,
         params=train_result.params,
-        attacker_heads=attack.heads,
     )
 
 

@@ -48,8 +48,9 @@ def test_adv_forward_identical_with_and_without_reversal():
     tape = ad.Tape()
     z = tape.constant(z0)
     head_t = as_leaves(tape, head)
-    plain = adv.adv_forward(z, head_t, gender_spec(lam=0.0), reversed=False)
-    rev = adv.adv_forward(z, head_t, gender_spec(lam=400.0), reversed=True)
+    plain = ad.dense(ad.tanh(ad.dense(z, head_t["head.gender.hidden_w"], head_t["head.gender.hidden_b"])),
+                     head_t["head.gender.out_w"], head_t["head.gender.out_b"])
+    rev = adv.adv_forward(z, head_t, gender_spec(lam=400.0))
     assert np.array_equal(plain.data, rev.data)
 
 
@@ -59,11 +60,17 @@ def test_reversed_head_with_zero_lambda_sends_no_gradient_upstream():
     tape = ad.Tape()
     z = tape.leaf(z0, "z")
     head_t = as_leaves(tape, head)
-    pred = adv.adv_forward(z, head_t, gender_spec(lam=0.0), reversed=True)
+    pred = adv.adv_forward(z, head_t, gender_spec(lam=0.0))
     loss = adv.weighted_ce(pred, np.array([0, 1, 0]), np.ones(2))
     grads = tape.backward(loss)
     assert np.array_equal(grads[z], np.zeros((3, 4)))
     assert np.any(grads[head_t["head.gender.hidden_w"]] != 0.0)
+
+
+@pytest.mark.parametrize("lam", [np.nan, np.inf])
+def test_attribute_spec_rejects_a_lambda_out_of_range(lam):
+    with pytest.raises(ConfigError, match="'gender'"):
+        gender_spec(lam=lam)
 
 
 def test_zero_weight_head_outputs_bias():
@@ -74,7 +81,7 @@ def test_zero_weight_head_outputs_bias():
     tape = ad.Tape()
     z = tape.constant(np.random.default_rng(0).standard_normal((4, 4)))
     head_t = as_leaves(tape, head)
-    pred = adv.adv_forward(z, head_t, gender_spec(), reversed=False)
+    pred = adv.adv_forward(z, head_t, gender_spec())
     assert np.allclose(pred.data, [0.3, -0.2])
 
 
@@ -83,7 +90,7 @@ def test_continuous_head_prediction_lies_in_unit_interval():
     tape = ad.Tape()
     z = tape.constant(np.random.default_rng(0).standard_normal((20, 4)) * 10)
     head_t = as_leaves(tape, head)
-    pred = adv.adv_forward(z, head_t, age_spec(), reversed=False)
+    pred = adv.adv_forward(z, head_t, age_spec())
     assert np.all(pred.data > 0.0) and np.all(pred.data < 1.0)
 
 

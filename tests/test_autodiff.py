@@ -76,6 +76,20 @@ def test_grl_backward_is_exact_negated_scale(lam):
     assert np.array_equal(grads[x], -lam * np.ones(2))
 
 
+def test_grl_on_a_constant_records_nothing():
+    # the attacker's heads read constant latents through the same reversal as the removal heads
+    tape = ad.Tape()
+    x = tape.constant(np.arange(6.0).reshape(2, 3))
+    w = tape.leaf(np.ones((3, 2)))
+    out = ad.grl(x, 400.0)
+    assert len(tape) == 0 and not out.requires_grad
+    assert out.data.tobytes() == x.data.tobytes()
+    grads = tape.backward(ad.sum_all(ad.dense(out, w, tape.leaf(np.zeros(2)))))
+    assert len(tape) == 2  # dense and sum only
+    assert out.grad is None and x.grad is None
+    assert np.array_equal(grads[w], np.tile(x.data.sum(axis=0)[:, None], (1, 2)))
+
+
 def test_grl_rejects_negative_lambda():
     tape = ad.Tape()
     x = tape.leaf([1.0])

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from advrec.cli import main
+from advrec.container import load_container
 from advrec.synthetic import planted_dataset
 
 
@@ -100,7 +101,6 @@ def test_unknown_config_key_is_rejected(tmp_path, capsys):
 
 @pytest.mark.parametrize("key, value", [
     ("train.d_adv_hidden", "0"), ("train.lr", "-1"), ("train.lr", "0"), ("train.lr", "nan"),
-    ("train.adam_beta1", "1"), ("train.adam_beta2", "1"), ("train.adam_epsilon", "0"),
     ("train.val_every", "-1"), ("train.anneal_steps", "-1"),
     ("train.beta_max", "nan"), ("train.beta_max", "inf"), ("lambda.gender", "nan"),
     ("train.model_seed", "-1"), ("train.data_seed", "-1"), ("train.adversary_seed", "-1"),
@@ -116,11 +116,17 @@ def test_train_rejects_out_of_range_settings(tmp_path, capsys, key, value):
     assert key.split(".")[1] in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["train", "grid"])
-def test_settings_are_checked_before_the_data_is_read(tmp_path, capsys, command):
-    config = write_config(tmp_path, **{"train.dropout_keep": "0", "grid.gender": "0,60"})
+@pytest.mark.parametrize("command, settings, named", [
+    ("train", {"train.dropout_keep": "0", "grid.gender": "0,60"}, "dropout_keep"),
+    ("grid", {"train.dropout_keep": "0", "grid.gender": "0,60"}, "dropout_keep"),
+    # a bad value in one grid combination fails the command before any unit runs
+    ("grid", {"grid.gender": "0,-1"}, "'gender'"),
+    ("grid", {"grid.gender": "0,nan"}, "'gender'"),
+], ids=["train", "grid", "grid.gender=0,-1", "grid.gender=0,nan"])
+def test_settings_are_checked_before_the_data_is_read(tmp_path, capsys, command, settings, named):
+    config = write_config(tmp_path, **settings)
     assert main([command, "--config", str(config)]) == 2  # no cache exists, and the setting is named first
-    assert "dropout_keep" in capsys.readouterr().err
+    assert named in capsys.readouterr().err
     assert not (tmp_path / "runs").exists()
 
 
@@ -133,11 +139,23 @@ def test_grid_without_folds_is_rejected(workspace, capsys):
     assert not (tmp_path / "runs").exists()
 
 
-def test_removed_activation_key_is_rejected(workspace, capsys):
+@pytest.mark.parametrize("setting", [
+    "train.activation=tanh", "train.adam_beta1=0.9", "train.adam_beta2=0.999", "train.adam_epsilon=1e-8",
+])
+def test_removed_key_is_rejected(workspace, capsys, setting):
     _, config = workspace
-    config.write_text(config.read_text() + "train.activation=tanh\n")
+    config.write_text(config.read_text() + setting + "\n")
     assert main(["preprocess", "--config", str(config)]) == 2
-    assert "train.activation" in capsys.readouterr().err
+    assert setting.split("=")[0] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["preprocess", "train", "attack", "eval", "export-embeddings"])
+def test_only_grid_takes_workers(workspace, capsys, command):
+    _, config = workspace
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--config", str(config), "--workers", "2"])
+    assert exit_info.value.code == 2
+    assert "--workers" in capsys.readouterr().err
 
 
 def test_negative_master_seed_is_rejected(tmp_path, capsys):
@@ -211,6 +229,22 @@ def test_export_embeddings_names_an_attribute_without_an_attacker(workspace, cap
     # the same MultVAE run directory, whose attacker.bin has a gender attacker only
     assert main(["export-embeddings", "--config", str(config), "--lambda", "age=0"]) == 2
     assert "'age'" in capsys.readouterr().err
+
+
+def test_export_embeddings_squashes_as_the_loaded_attacker_was_trained(workspace):
+    tmp_path, config = workspace
+    default = config.read_text()
+    assert main(["preprocess", "--config", str(config)]) == 0
+    assert main(["train", "--config", str(config)]) == 0
+    config.write_text(default + "train.continuous_head=linear\n")
+    assert main(["attack", "--config", str(config)]) == 0
+    config.write_text(default)
+    assert main(["export-embeddings", "--config", str(config)]) == 0
+    run_dir = tmp_path / "runs" / "MultVAE" / "fold0"
+    scores, _ = load_container(str(run_dir / "attack_scores.bin"))
+    with open(run_dir / "embeddings.tsv", newline="") as fh:
+        exported = [float(row["pred_age"]) for row in csv.DictReader(fh, delimiter="\t")]
+    assert np.array_equal(exported, scores["pred_age"])
 
 
 def test_commands_reject_a_checkpoint_for_another_catalog(workspace, capsys):

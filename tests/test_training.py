@@ -53,16 +53,16 @@ def test_adam_first_step_closed_form():
 def reference_adam_step(params, grads, state, moments):
     """The out-of-place textbook update, kept as the oracle for the fused one."""
     step = state.step + 1
-    corr1 = 1.0 - state.beta1**step
-    corr2 = 1.0 - state.beta2**step
+    corr1 = 1.0 - tr.ADAM_BETA1**step
+    corr2 = 1.0 - tr.ADAM_BETA2**step
     updated = {}
     for name, p in params.items():
         g = grads[name]
         m, v = moments.get(name, (np.zeros_like(p), np.zeros_like(p)))
-        m = state.beta1 * m + (1.0 - state.beta1) * g
-        v = state.beta2 * v + (1.0 - state.beta2) * (g * g)
+        m = tr.ADAM_BETA1 * m + (1.0 - tr.ADAM_BETA1) * g
+        v = tr.ADAM_BETA2 * v + (1.0 - tr.ADAM_BETA2) * (g * g)
         moments[name] = m, v
-        updated[name] = p - state.lr * (m / corr1) / (np.sqrt(v / corr2) + state.epsilon)
+        updated[name] = p - state.lr * (m / corr1) / (np.sqrt(v / corr2) + tr.ADAM_EPSILON)
     return updated
 
 
@@ -88,7 +88,7 @@ def test_adam_step_with_a_non_finite_last_gradient_changes_nothing():
     rng = np.random.default_rng(6)
     shapes = {"first": (tr.ADAM_BLOCK + 3,), "middle": (4, 5), "last": (7,)}
     params = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
-    state = tr.AdamState()
+    state = tr.AdamState(lr=1e-3)
     for _ in range(2):
         tr.adam_step(params, {name: rng.standard_normal(shape) for name, shape in shapes.items()}, state)
     before = {name: (params[name].copy(), state.m[name].copy(), state.v[name].copy()) for name in shapes}
@@ -104,7 +104,7 @@ def test_adam_step_with_a_non_finite_last_gradient_changes_nothing():
 
 
 def test_adam_zero_gradient_leaves_parameters_unchanged():
-    state = tr.AdamState()
+    state = tr.AdamState(lr=1e-3)
     params = {"w": np.array([1.5, -2.5])}
     for _ in range(10):
         params = tr.adam_step(params, {"w": np.zeros(2)}, state)
@@ -112,7 +112,7 @@ def test_adam_zero_gradient_leaves_parameters_unchanged():
 
 
 def test_adam_rejects_non_finite_gradient_naming_parameter():
-    state = tr.AdamState()
+    state = tr.AdamState(lr=1e-3)
     with pytest.raises(TrainingDiverged) as err:
         tr.adam_step({"enc.mu_w": np.zeros(2)}, {"enc.mu_w": np.array([1.0, np.nan])}, state)
     assert "enc.mu_w" in str(err.value)
@@ -125,7 +125,7 @@ def test_adam_step_rejects_a_parameter_it_cannot_update_in_place(unwritable):
         params["last"].flags.writeable = False
     else:
         params["last"] = params["last"].T
-    state = tr.AdamState()
+    state = tr.AdamState(lr=1e-3)
     with pytest.raises(ContractError) as err:
         tr.adam_step(params, {name: np.ones_like(p) for name, p in params.items()}, state)
     assert "'last'" in str(err.value)
