@@ -230,8 +230,8 @@ def grl(x: Tensor, lam: float) -> Tensor:
     zero-scale adversarial runs bit-identical to runs without heads.
     """
     lam = float(lam)
-    if lam < 0:
-        raise ConfigError(f"gradient reversal scale must be >= 0, got {lam}")
+    if not 0.0 <= lam < np.inf:  # written as "in range" and negated, so that NaN fails it too
+        raise ConfigError(f"gradient reversal scale must be finite and >= 0, got {lam}")
 
     def grad_fn(g: Array) -> None:
         if lam != 0.0:

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 from . import __version__
 from . import adversarial as adv
+from . import config as cf
 from . import data as dp
 from . import evaluation as ev
 from . import training as tr
-from .config import RunConfig, apply_lambda_flags, apply_seed, load_config
 from .container import atomic_open, save_container
 from .errors import AdvrecError, ConfigError, DataError
 
@@ -36,10 +36,10 @@ def file_sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def write_manifest(directory: str, config: RunConfig, **extra) -> None:
+def write_manifest(directory: str, config: dict, **extra) -> None:
     manifest = {
         "artifact_version": __version__,
-        "config": config.manifest_dict(),
+        "config": {key: value for key, value in config.items() if value is not None},
         "seeds": {
             "model": config["train.model_seed"],
             "data": config["train.data_seed"],
@@ -53,8 +53,8 @@ def write_manifest(directory: str, config: RunConfig, **extra) -> None:
     write_json(os.path.join(directory, "manifest.json"), manifest)
 
 
-def load_dataset(config: RunConfig):
-    cache = config.require("data.cache")
+def load_dataset(config: dict):
+    cache = cf.require(config, "data.cache")
     if not os.path.exists(cache):
         raise DataError(f"dataset cache {cache!r} not found; run the preprocess command first")
     dataset, attrs, _ = dp.load_cache(cache)
@@ -66,7 +66,7 @@ class FoldRun:
     """What train, attack, eval and export-embeddings share: the cached data,
     the configured fold, the train settings and the run's output directory."""
 
-    config: RunConfig
+    config: dict
     dataset: dp.InteractionDataset
     attrs: dp.UserAttributes
     fold: dp.FoldData
@@ -75,8 +75,8 @@ class FoldRun:
     out_dir: str
 
     @classmethod
-    def of(cls, config: RunConfig) -> "FoldRun":
-        train = config.train_config()  # checks the seeds before make_folds uses one
+    def of(cls, config: dict) -> "FoldRun":
+        train = cf.train_config(config)  # checks the seeds before make_folds uses one
         dataset, attrs = load_dataset(config)
         splits = dp.make_folds(dataset.n_users, train.data_seed, config["train.n_folds"])
         fold_index = config["train.fold"]
@@ -109,10 +109,10 @@ class FoldRun:
         return row
 
 
-def cmd_preprocess(config: RunConfig) -> int:
-    interactions = config.require("data.interactions")
-    demographics = config.require("data.demographics")
-    cache_path = config.require("data.cache")
+def cmd_preprocess(config: dict) -> int:
+    interactions = cf.require(config, "data.interactions")
+    demographics = cf.require(config, "data.demographics")
+    cache_path = cf.require(config, "data.cache")
     # each bound is written as "in range" and negated, so that NaN fails it too
     for key, ok, bound in [
         ("data.k_core", config["data.k_core"] >= 1, ">= 1"),
@@ -152,7 +152,7 @@ def cmd_preprocess(config: RunConfig) -> int:
     return 0
 
 
-def cmd_train(config: RunConfig) -> int:
+def cmd_train(config: dict) -> int:
     run = FoldRun.of(config)
     log.info("training %s on fold %d (%d train users)", run.label, run.fold.index, len(run.fold.split.train))
     result = tr.train_adversarial_phase(run.dataset, run.attrs, run.specs(), run.fold, run.train)
@@ -164,7 +164,7 @@ def cmd_train(config: RunConfig) -> int:
     return 0
 
 
-def cmd_attack(config: RunConfig) -> int:
+def cmd_attack(config: dict) -> int:
     run = FoldRun.of(config)
     model = run.model()
     specs = run.specs()
@@ -184,7 +184,7 @@ def cmd_attack(config: RunConfig) -> int:
     return 0
 
 
-def cmd_eval(config: RunConfig) -> int:
+def cmd_eval(config: dict) -> int:
     run = FoldRun.of(config)
     metrics, per_user = tr.rank_test_fold(run.model(), run.dataset, run.fold)
     save_container(
@@ -196,11 +196,11 @@ def cmd_eval(config: RunConfig) -> int:
     return 0
 
 
-def cmd_grid(config: RunConfig, workers: int) -> int:
-    grid = config.grid()
+def cmd_grid(config: dict, workers: int) -> int:
+    grid = cf.grid(config)
     if not grid:
         raise ConfigError("grid command needs at least one grid.<attribute> key")
-    train_config = config.train_config()
+    train_config = cf.train_config(config)
     combos = tr.lambda_combinations(grid)
     for combo in combos:  # every unit's settings are checked before the data is read
         dataclasses.replace(train_config, lambdas=combo).validate()
@@ -221,7 +221,7 @@ def cmd_grid(config: RunConfig, workers: int) -> int:
         combo_label = "_".join(f"{name}{lam:g}" for name, lam in record.lambdas.items())
         save_container(
             os.path.join(grid_dir, combo_label, f"fold{record.fold}", "user_scores.bin"), record.per_user,
-            {"kind": "user-scores", "model": record.model, "fold": record.fold,
+            {"kind": "user-scores", "model": tr.model_label(record.lambdas), "fold": record.fold,
              "lambdas": {k: float(v) for k, v in record.lambdas.items()}},
         )
     summary = tr.grid_summary(outcome.records)
@@ -236,7 +236,7 @@ def cmd_grid(config: RunConfig, workers: int) -> int:
     return 1 if outcome.failures else 0
 
 
-def cmd_export_embeddings(config: RunConfig) -> int:
+def cmd_export_embeddings(config: dict) -> int:
     run = FoldRun.of(config)
     model = run.model()
     attacker_path = os.path.join(run.out_dir, "attacker.bin")
@@ -302,12 +302,12 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
     try:
-        config = load_config(args.config)
+        config = cf.load_config(args.config)
         if args.out:
-            config.values["out.dir"] = args.out
+            config["out.dir"] = args.out
         if args.seed is not None:
-            apply_seed(config, args.seed)
-        apply_lambda_flags(config, args.lambdas)
+            cf.apply_seed(config, args.seed)
+        cf.apply_lambda_flags(config, args.lambdas)
         if args.command == "grid":
             return cmd_grid(config, max(1, args.workers))
         command = {"preprocess": cmd_preprocess, "train": cmd_train, "attack": cmd_attack, "eval": cmd_eval,

@@ -1,16 +1,19 @@
 """Run configuration: key=value files with dotted sections, flag overrides.
 
-Every key is validated against the schema below before any work starts;
-unknown keys are errors. Command-line flags override file values.
+A run configuration is a plain dict holding every ``SCHEMA`` key, in schema
+order, with ``None`` for a key that has no default and was not configured.
+Every key is validated against the schema before any work starts; unknown
+keys are errors. Command-line flags override file values. The
+``lambda.<attr>`` and ``grid.<attr>`` keys are generated from
+``training.ATTRIBUTES``, whose order fixes the order of the lambda map.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
 
 from .errors import ConfigError
-from .training import TrainConfig
+from .training import ATTRIBUTES, TrainConfig
 
 
 def _lambda_grid(raw: str) -> list[float]:
@@ -37,10 +40,8 @@ SCHEMA = {
     **{f"train.{f.name}": (type(f.default), f.default) for f in TRAIN_FIELDS},
     "train.fold": (int, 0),
     "train.n_folds": (int, 5),
-    "lambda.gender": (float, None),
-    "lambda.age": (float, None),
-    "grid.gender": (_lambda_grid, None),
-    "grid.age": (_lambda_grid, None),
+    **{f"lambda.{attr}": (float, None) for attr in ATTRIBUTES},
+    **{f"grid.{attr}": (_lambda_grid, None) for attr in ATTRIBUTES},
     "out.dir": (str, "runs"),
 }
 
@@ -59,86 +60,63 @@ def parse_config_file(path: str) -> dict[str, str]:
     return values
 
 
-@dataclass
-class RunConfig:
-    values: dict = field(default_factory=dict)
-
-    def __getitem__(self, key: str):
-        return self.values[key]
-
-    def get(self, key: str, default=None):
-        return self.values.get(key, default)
-
-    def require(self, key: str):
-        value = self.values.get(key)
-        if value is None:
-            raise ConfigError(f"configuration key {key!r} is required for this command")
-        return value
-
-    def lambdas(self) -> dict[str, float]:
-        out = {}
-        for key, value in self.values.items():
-            if key.startswith("lambda.") and value is not None:
-                out[key.split(".", 1)[1]] = float(value)
-        return out
-
-    def grid(self) -> dict[str, list[float]]:
-        out = {}
-        for key, value in self.values.items():
-            if key.startswith("grid.") and value is not None:
-                out[key.split(".", 1)[1]] = list(value)
-        return out
-
-    def train_config(self) -> TrainConfig:
-        config = TrainConfig(
-            **{f.name: self.values[f"train.{f.name}"] for f in TRAIN_FIELDS}, lambdas=self.lambdas()
-        )
-        config.validate()
-        return config
-
-    def manifest_dict(self) -> dict:
-        rendered = {}
-        for key, value in sorted(self.values.items()):
-            if value is None:
-                continue
-            rendered[key] = value if not isinstance(value, list) else list(value)
-        return rendered
-
-
-def load_config(path: str | None) -> RunConfig:
+def load_config(path: str | None) -> dict:
     """Merge schema defaults and a config file, validating keys."""
     raw = parse_config_file(path) if path is not None else {}
     unknown = sorted(set(raw) - set(SCHEMA))
     if unknown:
         raise ConfigError(f"unknown configuration keys: {', '.join(unknown)}")
-    values = {}
+    config = {}
     for key, (caster, default) in SCHEMA.items():
         if key in raw:
             try:
-                values[key] = caster(raw[key])
+                config[key] = caster(raw[key])
             except (ValueError, TypeError) as err:
                 raise ConfigError(f"bad value for {key}: {raw[key]!r} ({err})") from None
         else:
-            values[key] = default
-    return RunConfig(values=values)
+            config[key] = default
+    return config
 
 
-def apply_seed(config: RunConfig, seed: int) -> None:
+def require(config: dict, key: str):
+    value = config.get(key)
+    if value is None:
+        raise ConfigError(f"configuration key {key!r} is required for this command")
+    return value
+
+
+def lambdas(config: dict) -> dict[str, float]:
+    """The configured ``lambda.<attr>`` values, in ``ATTRIBUTES`` order."""
+    return {attr: config[f"lambda.{attr}"] for attr in ATTRIBUTES if config[f"lambda.{attr}"] is not None}
+
+
+def grid(config: dict) -> dict[str, list[float]]:
+    """The configured ``grid.<attr>`` values, in ``ATTRIBUTES`` order."""
+    return {attr: config[f"grid.{attr}"] for attr in ATTRIBUTES if config[f"grid.{attr}"] is not None}
+
+
+def train_config(config: dict) -> TrainConfig:
+    train = TrainConfig(**{f.name: config[f"train.{f.name}"] for f in TRAIN_FIELDS}, lambdas=lambdas(config))
+    train.validate()
+    return train
+
+
+def apply_seed(config: dict, seed: int) -> None:
     """A single master seed fans out to the three independent streams."""
-    config.values["train.model_seed"] = seed
-    config.values["train.data_seed"] = seed + 1
-    config.values["train.adversary_seed"] = seed + 2
+    config["train.model_seed"] = seed
+    config["train.data_seed"] = seed + 1
+    config["train.adversary_seed"] = seed + 2
 
 
-def apply_lambda_flags(config: RunConfig, pairs: list[str]) -> None:
+def apply_lambda_flags(config: dict, pairs: list[str]) -> None:
     for pair in pairs:
         if "=" not in pair:
             raise ConfigError(f"--lambda expects ATTR=VALUE, got {pair!r}")
         name, _, raw = pair.partition("=")
-        key = f"lambda.{name.strip()}"
-        if key not in SCHEMA:
-            raise ConfigError(f"unknown attribute for --lambda: {name.strip()!r}")
+        attr = name.strip()
+        if attr not in ATTRIBUTES:
+            raise ConfigError(f"unknown attribute for --lambda: {attr!r}")
         try:
-            config.values[key] = float(raw)
+            config[f"lambda.{attr}"] = float(raw)
         except ValueError:
             raise ConfigError(f"--lambda {pair!r}: value is not a number") from None

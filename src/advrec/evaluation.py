@@ -119,22 +119,14 @@ def _chi2_sf_1dof(x: float) -> float:
 
 
 def _rank_with_ties(values: np.ndarray) -> tuple[np.ndarray, float]:
-    """Average ranks of |values| plus the tie correction term sum(t^3 - t)."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values))
-    tie_term = 0.0
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        avg = (i + j) / 2.0 + 1.0
-        for idx in range(i, j + 1):
-            ranks[order[idx]] = avg
-        t = j - i + 1
-        tie_term += t**3 - t
-        i = j + 1
-    return ranks, tie_term
+    """Average ranks of |values| plus the tie correction term sum(t^3 - t).
+
+    A run of ``t`` tied values ending at 1-based rank ``e`` has average rank
+    ``e - (t - 1) / 2``; every such rank is a half-integer, so it is exact.
+    """
+    _, group, counts = np.unique(values, return_inverse=True, return_counts=True)
+    average = np.cumsum(counts) - (counts - 1) / 2.0
+    return average[group], float((counts**3 - counts).sum())
 
 
 _WILCOXON_EXACT_MAX_N = 16

@@ -37,6 +37,11 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
 
+# The protected attributes and their kinds. This order fixes the order of the
+# config's lambda.* keys, hence of the lambda map and of the specs, and so the
+# order in which the heads draw from the adversary stream.
+ATTRIBUTES = {"gender": adv.CATEGORICAL, "age": adv.CONTINUOUS}
+
 
 @dataclass
 class AdamState:
@@ -175,18 +180,18 @@ def build_specs(
     train_users: np.ndarray,
     continuous_head: str = "sigmoid",
 ) -> list[adv.AttributeSpec]:
-    """Attribute specs for every entry of the lambda map, in declared order.
+    """Attribute specs for every entry of the lambda map, in declared order,
+    each of the kind that ``ATTRIBUTES`` gives it.
 
     Categorical attributes get inverse-frequency class weights computed on
     the training users.
     """
-    available = {"gender", "age"}
     squash = continuous_head == "sigmoid"
     specs = []
     for name, lam in lambdas.items():
-        if name not in available:
-            raise ConfigError(f"unknown attribute {name!r}; expected one of {sorted(available)}")
-        if name == "gender":
+        if name not in ATTRIBUTES:
+            raise ConfigError(f"unknown attribute {name!r}; expected one of {sorted(ATTRIBUTES)}")
+        if ATTRIBUTES[name] == adv.CATEGORICAL:
             n_classes = len(attrs.gender_labels)
             weights = class_weights(attrs.gender[train_users], n_classes)
             specs.append(
@@ -429,15 +434,13 @@ def train_attack_phase(
 @dataclass
 class RunRecord:
     dataset_name: str
-    model: str
     lambdas: dict
     fold: int
     metrics: dict
     per_user: dict
     train_log: list
     attack_log: list
-    best_epoch: int
-    params: adv.Params
+    params: adv.Params | None  # None in grid records: the grid writes no checkpoint, so it keeps no store
 
     def result_row(self) -> dict:
         return result_row(self.dataset_name, self.lambdas, self.fold, self.metrics)
@@ -466,14 +469,12 @@ def run_single(
     ranking, ranking_per_user = rank_test_fold(train_result.params, dataset, fold)
     return RunRecord(
         dataset_name=dataset_name,
-        model=model_label(config.lambdas),
         lambdas=dict(config.lambdas),
         fold=fold.index,
         metrics={**ranking, **attack.metrics},
         per_user={**attack.per_user, **ranking_per_user},
         train_log=train_result.log,
         attack_log=attack.log,
-        best_epoch=train_result.best_epoch,
         params=train_result.params,
     )
 
@@ -484,8 +485,9 @@ def lambda_combinations(grid: dict) -> list[dict]:
 
 
 def _grid_unit(payload):
+    """One grid unit's record, without the parameter store that no grid output reads."""
     dataset, attrs, fold, config, dataset_name = payload
-    return run_single(dataset, attrs, fold, config, dataset_name)
+    return dataclasses.replace(run_single(dataset, attrs, fold, config, dataset_name), params=None)
 
 
 @dataclass
@@ -504,7 +506,8 @@ def _concatenated(records: list, field: str, folds: set) -> np.ndarray:
 
 
 def grid_summary(records: list) -> list[dict]:
-    """Best-debiasing row per attribute, with significance against the
+    """Best-debiasing row per attribute of the lambda map, in its order and of
+    the kind that ``ATTRIBUTES`` gives it, with significance against the
     all-zero baseline combination when it is part of the grid.
 
     Ranking scores enter a signed-rank test, categorical attacker
@@ -519,13 +522,6 @@ def grid_summary(records: list) -> list[dict]:
     for record in records:
         by_combo.setdefault(_combo_key(record.lambdas), []).append(record)
 
-    attr_kinds = {}
-    for key in records[0].metrics:
-        if key.startswith("bacc_"):
-            attr_kinds[key[len("bacc_"):]] = "categorical"
-        elif key.startswith("mae_"):
-            attr_kinds[key[len("mae_"):]] = "continuous"
-
     baseline_key = _combo_key({name: 0.0 for name in records[0].lambdas})
     baseline = by_combo.get(baseline_key)
 
@@ -533,18 +529,19 @@ def grid_summary(records: list) -> list[dict]:
         return float(np.mean([r.metrics[metric] for r in combo_records]))
 
     rows = []
-    for attr, kind in attr_kinds.items():
-        metric = f"bacc_{attr}" if kind == "categorical" else f"mae_{attr}"
+    for attr in records[0].lambdas:
+        categorical = ATTRIBUTES[attr] == adv.CATEGORICAL
+        metric = f"bacc_{attr}" if categorical else f"mae_{attr}"
         best_key = (
             min(by_combo, key=lambda key: combo_mean(by_combo[key], metric))
-            if kind == "categorical"
+            if categorical
             else max(by_combo, key=lambda key: combo_mean(by_combo[key], metric))
         )
         best = by_combo[best_key]
         row = {
             "attribute": attr,
-            "selection_rule": f"{'min' if kind == 'categorical' else 'max'} {metric}",
-            "model": best[0].model,
+            "selection_rule": f"{'min' if categorical else 'max'} {metric}",
+            "model": model_label(best[0].lambdas),
         }
         for name, lam in dict(best_key).items():
             row[f"lambda_{name}"] = lam
@@ -563,7 +560,7 @@ def grid_summary(records: list) -> list[dict]:
             ndcg_test = ev.wilcoxon_signed_rank(ndcg_best[evaluated], ndcg_baseline[evaluated])
             row["p_ndcg_vs_baseline"] = ndcg_test.p_value
             row["ndcg_significant"] = "*" if ndcg_test.significant else ""
-            if kind == "categorical":
+            if categorical:
                 attr_test = ev.mcnemar_test(*paired(f"correct_{attr}"))
                 row["attr_test"] = "mcnemar"
             else:

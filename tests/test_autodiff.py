@@ -90,11 +90,12 @@ def test_grl_on_a_constant_records_nothing():
     assert np.array_equal(grads[w], np.tile(x.data.sum(axis=0)[:, None], (1, 2)))
 
 
-def test_grl_rejects_negative_lambda():
+@pytest.mark.parametrize("lam", [float("nan"), float("inf"), -1.0], ids=["nan", "inf", "-1"])
+def test_grl_rejects_a_scale_out_of_range(lam):
     tape = ad.Tape()
-    x = tape.leaf([1.0])
+    x = tape.leaf([1.0, 2.0])
     with pytest.raises(ConfigError):
-        ad.grl(x, -0.5)
+        ad.grl(x, lam)
 
 
 def test_backward_sum_of_linear_map():

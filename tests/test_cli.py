@@ -336,3 +336,9 @@ def test_console_script_entry_point(workspace):
     )
     assert result.returncode == 0
     assert "cache written" in result.stdout
+
+
+def test_importing_the_cli_leaves_scipy_stats_unloaded():
+    # scipy.stats adds tens of MB to every process, grid workers included
+    code = "import sys, advrec.cli; sys.exit('scipy.stats' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0

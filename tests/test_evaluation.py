@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 
@@ -186,6 +187,15 @@ def test_mae_of_mean_predictor_equals_mean_absolute_deviation():
     mean_pred = np.full_like(targets, targets.mean())
     mad = float(np.abs(targets - targets.mean()).mean())
     assert abs(ev.mae_metric(mean_pred, targets) - mad) < 1e-15
+
+
+def test_tie_ranks_and_tie_term_match_scipy_on_tied_data():
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 11, 300):
+        values = rng.integers(0, max(2, n // 4), n) * 0.25  # many ties at every length
+        ranks, tie_term = ev._rank_with_ties(values)
+        assert np.array_equal(ranks, rankdata(values))
+        assert tie_term == float(sum(t**3 - t for t in collections.Counter(values.tolist()).values()))
 
 
 def exact_wilcoxon_p(diffs):

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from advrec import adversarial as adv
+from advrec import config as cf
 from advrec import multvae as mv
 from advrec import training as tr
-from advrec.config import load_config
 from advrec.data import make_folds, prepare_fold
 from advrec.errors import ContractError, TrainingDiverged
 from advrec.synthetic import planted_dataset
@@ -139,11 +139,18 @@ def test_default_epoch_counts_follow_protocol():
 
 
 def test_train_defaults_are_written_once():
-    config = load_config(None)
-    assert config.train_config() == tr.TrainConfig()
+    config = cf.load_config(None)
+    assert type(config) is dict
+    assert cf.train_config(config) == tr.TrainConfig()
     for f in dataclasses.fields(tr.TrainConfig):
         if f.name != "lambdas":
-            assert f"train.{f.name}" in config.values
+            assert f"train.{f.name}" in config
+
+
+@pytest.mark.parametrize("section", ["lambda", "grid"])
+def test_schema_attribute_keys_are_the_attribute_table(section):
+    keys = [key.split(".", 1)[1] for key in cf.SCHEMA if key.startswith(f"{section}.")]
+    assert keys == list(tr.ATTRIBUTES)
 
 
 def test_training_is_bit_deterministic():
@@ -367,7 +374,17 @@ def test_grid_records_do_not_depend_on_worker_count():
     assert not serial.failures and not pooled.failures
     assert [r.result_row() for r in pooled.records] == [r.result_row() for r in serial.records]
     for a, b in zip(serial.records, pooled.records):
-        assert tr.params_hash(a.params.items()) == tr.params_hash(b.params.items())
+        assert a.per_user.keys() == b.per_user.keys()
+        assert all(a.per_user[key].tobytes() == b.per_user[key].tobytes() for key in a.per_user)
+        assert a.train_log == b.train_log and a.attack_log == b.attack_log
+
+
+def test_grid_records_hold_no_parameter_store():
+    dataset, attrs, fold, config = tiny_setup(epochs_adversarial=1, epochs_attack=1)
+    outcome = tr.grid_search(dataset, attrs, {"gender": [0.0, 50.0]}, [fold], config)
+    assert len(outcome.records) == 2 and all(record.params is None for record in outcome.records)
+    single = tr.run_single(dataset, attrs, fold, dataclasses.replace(config, lambdas={"gender": 50.0}))
+    assert single.params is not None and "enc.mu_b" in single.params
 
 
 def test_grid_results_do_not_depend_on_combination_order():
@@ -423,6 +440,24 @@ def test_grid_summary_pairs_users_only_within_folds_both_combinations_completed(
     (shared_only,) = tr.grid_summary([baseline[1], removed])
     assert all(key in shared_only for key in p_keys)
     assert mismatched == shared_only
+
+
+def test_grid_summary_rows_follow_the_lambda_map_with_kinds_from_the_table():
+    def record(lambdas, fold, bacc, mae):
+        # the metrics list age before gender, unlike the lambda map
+        metrics = {"ndcg@10": 0.5, "mae_age": mae, "bacc_gender": bacc}
+        return tr.RunRecord(dataset_name="tiny", lambdas=lambdas, fold=fold, metrics=metrics, per_user={},
+                            train_log=[], attack_log=[], params=None)
+
+    records = [
+        record({"gender": 0.0, "age": 0.0}, 0, bacc=0.9, mae=0.1),
+        record({"gender": 400.0, "age": 0.0}, 1, bacc=0.6, mae=0.1),
+        record({"gender": 0.0, "age": 400.0}, 1, bacc=0.9, mae=0.3),
+    ]
+    rows = tr.grid_summary(records)
+    assert [row["attribute"] for row in rows] == ["gender", "age"]
+    assert [row["selection_rule"] for row in rows] == ["min bacc_gender", "max mae_age"]
+    assert [row["model"] for row in rows] == ["AdvMultVAE-G", "AdvMultVAE-A"]
 
 
 def test_best_validation_checkpoint_is_tracked():
