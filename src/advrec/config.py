@@ -66,16 +66,16 @@ def load_config(path: str | None) -> dict:
     unknown = sorted(set(raw) - set(SCHEMA))
     if unknown:
         raise ConfigError(f"unknown configuration keys: {', '.join(unknown)}")
-    config = {}
+    values = {}
     for key, (caster, default) in SCHEMA.items():
         if key in raw:
             try:
-                config[key] = caster(raw[key])
+                values[key] = caster(raw[key])
             except (ValueError, TypeError) as err:
                 raise ConfigError(f"bad value for {key}: {raw[key]!r} ({err})") from None
         else:
-            config[key] = default
-    return config
+            values[key] = default
+    return values
 
 
 def require(config: dict, key: str):
