@@ -197,22 +197,19 @@ def cmd_eval(config: dict) -> int:
 
 
 def cmd_grid(config: dict, workers: int) -> int:
-    grid = cf.grid(config)
-    if not grid:
-        raise ConfigError("grid command needs at least one grid.<attribute> key")
-    train_config = cf.train_config(config)
-    combos = tr.lambda_combinations(grid)
-    for combo in combos:  # every unit's settings are checked before the data is read
-        dataclasses.replace(train_config, lambdas=combo).validate()
+    if workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {workers}")
+    units = cf.grid_configs(config)  # every unit's settings are checked before the data is read
+    train_config = units[0]  # the units differ only in their lambdas
     dataset, attrs = load_dataset(config)
     splits = dp.make_folds(dataset.n_users, train_config.data_seed, config["train.n_folds"])
     folds = [
         dp.prepare_fold(dataset, split, train_config.holdout_ratio, train_config.data_seed)
         for split in splits
     ]
-    log.info("grid: %d combinations x %d folds, %d workers", len(combos), len(folds), workers)
+    log.info("grid: %d combinations x %d folds, %d workers", len(units), len(folds), workers)
     outcome = tr.grid_search(
-        dataset, attrs, grid, folds, train_config, dataset_name=config["data.name"], workers=workers
+        dataset, attrs, units, folds, dataset_name=config["data.name"], workers=workers
     )
     grid_dir = os.path.join(config["out.dir"], "grid")
     if outcome.records:
@@ -228,7 +225,7 @@ def cmd_grid(config: dict, workers: int) -> int:
     if summary:
         ev.write_rows_csv(os.path.join(grid_dir, "summary.csv"), summary)
     write_manifest(grid_dir, config, command="grid",
-                   combinations=len(combos), folds=len(folds),
+                   combinations=len(units), folds=len(folds),
                    failures=[{"lambdas": lam, "fold": fold} for lam, fold, _ in outcome.failures])
     for lambdas, fold_index, message in outcome.failures:
         log.error("combination %s fold %d failed:\n%s", lambdas, fold_index, message)
@@ -309,7 +306,7 @@ def main(argv=None) -> int:
             cf.apply_seed(config, args.seed)
         cf.apply_lambda_flags(config, args.lambdas)
         if args.command == "grid":
-            return cmd_grid(config, max(1, args.workers))
+            return cmd_grid(config, args.workers)
         command = {"preprocess": cmd_preprocess, "train": cmd_train, "attack": cmd_attack, "eval": cmd_eval,
                    "export-embeddings": cmd_export_embeddings}[args.command]
         return command(config)

@@ -6,11 +6,15 @@ Every key is validated against the schema before any work starts; unknown
 keys are errors. Command-line flags override file values. The
 ``lambda.<attr>`` and ``grid.<attr>`` keys are generated from
 ``training.ATTRIBUTES``, whose order fixes the order of the lambda map.
+:func:`train_config` turns a run configuration into the ``TrainConfig`` of
+one run, and :func:`grid_configs` into the validated ``TrainConfig`` of
+every unit of a grid.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 
 from .errors import ConfigError
 from .training import ATTRIBUTES, TrainConfig
@@ -47,16 +51,20 @@ SCHEMA = {
 
 
 def parse_config_file(path: str) -> dict[str, str]:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as err:
+        raise ConfigError(f"cannot read configuration file {path!r}: {err}") from None
     values: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {stripped!r}")
-            key, _, raw = stripped.partition("=")
-            values[key.strip()] = raw.strip()
+    for lineno, line in enumerate(lines, start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise ConfigError(f"{path}:{lineno}: expected key=value, got {stripped!r}")
+        key, _, raw = stripped.partition("=")
+        values[key.strip()] = raw.strip()
     return values
 
 
@@ -90,15 +98,27 @@ def lambdas(config: dict) -> dict[str, float]:
     return {attr: config[f"lambda.{attr}"] for attr in ATTRIBUTES if config[f"lambda.{attr}"] is not None}
 
 
-def grid(config: dict) -> dict[str, list[float]]:
-    """The configured ``grid.<attr>`` values, in ``ATTRIBUTES`` order."""
-    return {attr: config[f"grid.{attr}"] for attr in ATTRIBUTES if config[f"grid.{attr}"] is not None}
-
-
 def train_config(config: dict) -> TrainConfig:
     train = TrainConfig(**{f.name: config[f"train.{f.name}"] for f in TRAIN_FIELDS}, lambdas=lambdas(config))
     train.validate()
     return train
+
+
+def grid_configs(config: dict) -> list[TrainConfig]:
+    """One validated ``TrainConfig`` per combination of the configured
+    ``grid.<attr>`` values, the last attribute in ``ATTRIBUTES`` order
+    varying fastest. The units differ from ``train_config(config)`` only in
+    their lambda maps, which hold the grid's attributes alone."""
+    grid = {attr: config[f"grid.{attr}"] for attr in ATTRIBUTES if config[f"grid.{attr}"] is not None}
+    if not grid:
+        raise ConfigError("grid command needs at least one grid.<attribute> key")
+    base = train_config(config)
+    units = []
+    for values in itertools.product(*grid.values()):
+        unit = dataclasses.replace(base, lambdas=dict(zip(grid, values)))
+        unit.validate()
+        units.append(unit)
+    return units
 
 
 def apply_seed(config: dict, seed: int) -> None:

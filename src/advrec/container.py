@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 import tempfile
 
@@ -21,7 +22,8 @@ from .errors import DataError
 MAGIC = b"ADVREC1\n"
 FORMAT_VERSION = 1
 
-_ALLOWED_DTYPES = {"<f8", "<i8", "|b1"}
+_ALLOWED_DTYPES = ("<f8", "<i8", "|b1")  # a tuple, so that any JSON value can be tested against it
+_ENTRY_KEYS = {"name", "dtype", "shape", "offset", "nbytes"}
 
 
 @contextlib.contextmanager
@@ -67,15 +69,42 @@ def save_container(path: str, arrays: dict[str, np.ndarray], meta: dict | None =
             fh.write(raw)
 
 
+def _checked_header(path: str, raw: bytes) -> dict:
+    """The header of the container at ``path``, checked so that reading the
+    arrays it lists can fail only on a truncated payload."""
+    try:
+        header = json.loads(raw.decode("utf-8"))
+    except ValueError as err:  # UnicodeDecodeError and JSONDecodeError
+        raise DataError(f"{path}: container header is not UTF-8 JSON ({err})") from None
+    if not isinstance(header, dict):
+        raise DataError(f"{path}: container header is not a JSON object")
+    if header.get("format_version") != FORMAT_VERSION:
+        raise DataError(f"{path}: unsupported container version {header.get('format_version')}")
+    if not isinstance(header.get("meta"), dict) or not isinstance(header.get("arrays"), list):
+        raise DataError(f"{path}: container header lacks its 'meta' object or 'arrays' list")
+    for entry in header["arrays"]:
+        if not (isinstance(entry, dict) and _ENTRY_KEYS <= entry.keys()):
+            raise DataError(f"{path}: container entry {entry!r} lacks one of {sorted(_ENTRY_KEYS)}")
+        name, dtype, shape = entry["name"], entry["dtype"], entry["shape"]
+        if not (isinstance(name, str) and isinstance(shape, list)
+                and all(isinstance(n, int) and n >= 0 for n in [*shape, entry["offset"]])):
+            raise DataError(f"{path}: container entry {entry!r} needs a name string and counts as shape and offset")
+        if dtype not in _ALLOWED_DTYPES:
+            raise DataError(f"{path}: array {name!r} has dtype {dtype!r}, not one of {_ALLOWED_DTYPES}")
+        size = math.prod(shape) * np.dtype(dtype).itemsize
+        if entry["nbytes"] != size:
+            raise DataError(f"{path}: array {name!r} records {entry['nbytes']!r} bytes, "
+                            f"where shape {shape} of {dtype} takes {size}")
+    return header
+
+
 def load_container(path: str) -> tuple[dict[str, np.ndarray], dict]:
     with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
             raise DataError(f"{path}: not a recognized container file")
         header_len = int.from_bytes(fh.read(8), "little")
-        header = json.loads(fh.read(header_len).decode("utf-8"))
-        if header.get("format_version") != FORMAT_VERSION:
-            raise DataError(f"{path}: unsupported container version {header.get('format_version')}")
+        header = _checked_header(path, fh.read(header_len))
         payload = fh.read()
     arrays = {}
     for entry in header["arrays"]:

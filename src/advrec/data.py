@@ -132,15 +132,18 @@ def normalize_age(raw_age: float, cap: float) -> float:
 
 def _read_tsv(path: str, min_cols: int):
     """Yield (line_number, fields) for each data line; skips the header."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if lineno == 1 or not line.strip():
-                continue
-            fields = line.split("\t")
-            if len(fields) < min_cols:
-                raise DataError(f"{path}:{lineno}: expected at least {min_cols} columns, got {len(fields)}")
-            yield lineno, fields
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.rstrip("\n")
+                if lineno == 1 or not line.strip():
+                    continue
+                fields = line.split("\t")
+                if len(fields) < min_cols:
+                    raise DataError(f"{path}:{lineno}: expected at least {min_cols} columns, got {len(fields)}")
+                yield lineno, fields
+    except (OSError, UnicodeDecodeError) as err:  # the consumer's own errors do not reach this generator
+        raise DataError(f"cannot read input file {path!r}: {err}") from None
 
 
 def load_interactions(path: str, demographics_path: str, age_cap: float = 60.0):

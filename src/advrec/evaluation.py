@@ -142,6 +142,18 @@ def _wilcoxon_exact_p(ranks: np.ndarray, statistic: float) -> float:
     return float(np.mean(mins <= statistic + 1e-9))
 
 
+def _paired_samples(sample_a, sample_b) -> tuple[np.ndarray, np.ndarray]:
+    """The two samples of a paired test as float64 arrays of one shape and
+    finite values; a NaN would otherwise pass silently into the statistic."""
+    a = np.asarray(sample_a, dtype=np.float64)
+    b = np.asarray(sample_b, dtype=np.float64)
+    if a.shape != b.shape:
+        raise ConfigError(f"paired samples differ in length: {a.shape} vs {b.shape}")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise DataError("paired samples contain non-finite values")
+    return a, b
+
+
 def wilcoxon_signed_rank(scores_a, scores_b) -> TestResult:
     """Two-sided signed-rank test on paired scores.
 
@@ -151,10 +163,7 @@ def wilcoxon_signed_rank(scores_a, scores_b) -> TestResult:
     approximation, whose center-of-distribution error at tiny n would
     otherwise exceed the accuracy the exact computation provides.
     """
-    a = np.asarray(scores_a, dtype=np.float64)
-    b = np.asarray(scores_b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ConfigError(f"paired samples differ in length: {a.shape} vs {b.shape}")
+    a, b = _paired_samples(scores_a, scores_b)
     diffs = a - b
     diffs = diffs[diffs != 0.0]
     n = len(diffs)
@@ -180,10 +189,7 @@ def wilcoxon_signed_rank(scores_a, scores_b) -> TestResult:
 
 def mcnemar_test(correct_a, correct_b) -> TestResult:
     """Continuity-corrected McNemar test on paired correctness indicators."""
-    a = np.asarray(correct_a, dtype=bool)
-    b = np.asarray(correct_b, dtype=bool)
-    if a.shape != b.shape:
-        raise ConfigError(f"paired samples differ in length: {a.shape} vs {b.shape}")
+    a, b = (sample.astype(bool) for sample in _paired_samples(correct_a, correct_b))
     only_a = int(np.sum(a & ~b))
     only_b = int(np.sum(~a & b))
     discordant = only_a + only_b
@@ -196,10 +202,7 @@ def mcnemar_test(correct_a, correct_b) -> TestResult:
 
 def paired_t_test(errors_a, errors_b) -> TestResult:
     """Two-sided paired t-test; p from the regularized incomplete beta."""
-    a = np.asarray(errors_a, dtype=np.float64)
-    b = np.asarray(errors_b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ConfigError(f"paired samples differ in length: {a.shape} vs {b.shape}")
+    a, b = _paired_samples(errors_a, errors_b)
     n = len(a)
     if n < 2:
         raise DataError(f"need at least 2 pairs, got {n}")

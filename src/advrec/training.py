@@ -15,9 +15,10 @@ never touch the model stream.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import functools
 import hashlib
-import itertools
 import multiprocessing
 import traceback
 from concurrent.futures import ProcessPoolExecutor
@@ -479,11 +480,6 @@ def run_single(
     )
 
 
-def lambda_combinations(grid: dict) -> list[dict]:
-    names = list(grid)
-    return [dict(zip(names, values)) for values in itertools.product(*(grid[n] for n in names))]
-
-
 def _grid_unit(payload):
     """One grid unit's record, without the parameter store that no grid output reads."""
     dataset, attrs, fold, config, dataset_name = payload
@@ -576,44 +572,36 @@ def grid_summary(records: list) -> list[dict]:
 def grid_search(
     dataset: InteractionDataset,
     attrs: UserAttributes,
-    grid: dict,
+    configs: list[TrainConfig],
     folds: list[FoldData],
-    config: TrainConfig,
     dataset_name: str = "synthetic",
     workers: int = 1,
 ) -> GridOutcome:
-    """Every lambda combination crossed with every fold; failures recorded.
+    """Every unit config crossed with every fold, in that order; failures recorded.
 
-    Each unit derives its randomness from the seed triple and the fold index
+    ``config.grid_configs`` builds the unit configs of a configured grid.
+    Each unit derives its randomness from its seed triple and the fold index
     only, so results do not depend on execution order or worker count.
-    Workers are spawned, not forked, because the parent's BLAS library may
-    already run threads. They keep the BLAS thread count of the environment:
-    a different count changes the last bits of large matrix products, and
-    with them the results.
+    With ``workers > 1`` the units run in a pool of spawned, not forked,
+    workers, because the parent's BLAS library may already run threads.
+    They keep the BLAS thread count of the environment: a different count
+    changes the last bits of large matrix products, and with them the
+    results. Otherwise each unit runs in this process when its turn comes.
     """
-    combos = lambda_combinations(grid)
-    if not combos:
-        raise ConfigError("grid has no lambda combinations")
-    tasks = []
-    for combo in combos:
-        for fold in folds:
-            unit_config = dataclasses.replace(config, lambdas=dict(combo))
-            tasks.append((dataset, attrs, fold, unit_config, dataset_name))
-
-    records: list = [None] * len(tasks)
-    failures = []
-    if workers <= 1:
-        for i, payload in enumerate(tasks):
+    payloads = [(dataset, attrs, fold, config, dataset_name) for config in configs for fold in folds]
+    if not payloads:
+        raise ConfigError(f"grid has no unit to run: {len(configs)} configs x {len(folds)} folds")
+    records, failures = [], []
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) if workers > 1 else None
+    with pool or contextlib.nullcontext():
+        # one call per unit that returns its record or raises its failure
+        if pool is None:
+            calls = [functools.partial(_grid_unit, payload) for payload in payloads]
+        else:
+            calls = [pool.submit(_grid_unit, payload).result for payload in payloads]
+        for (_, _, fold, config, _), call in zip(payloads, calls):
             try:
-                records[i] = _grid_unit(payload)
+                records.append(call())
             except Exception:
-                failures.append((tasks[i][3].lambdas, tasks[i][2].index, traceback.format_exc(limit=3)))
-    else:
-        with ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("spawn")) as pool:
-            futures = {pool.submit(_grid_unit, payload): i for i, payload in enumerate(tasks)}
-            for future, i in futures.items():
-                try:
-                    records[i] = future.result()
-                except Exception:
-                    failures.append((tasks[i][3].lambdas, tasks[i][2].index, traceback.format_exc(limit=3)))
-    return GridOutcome(records=[r for r in records if r is not None], failures=failures)
+                failures.append((config.lambdas, fold.index, traceback.format_exc(limit=3)))
+    return GridOutcome(records=records, failures=failures)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from advrec.cli import main
-from advrec.container import load_container
+from advrec.container import MAGIC, load_container
 from advrec.synthetic import planted_dataset
 
 
@@ -156,6 +156,42 @@ def test_only_grid_takes_workers(workspace, capsys, command):
         main([command, "--config", str(config), "--workers", "2"])
     assert exit_info.value.code == 2
     assert "--workers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_grid_needs_at_least_one_worker(tmp_path, capsys, workers):
+    config = write_config(tmp_path, **{"grid.gender": "0,60"})
+    assert main(["grid", "--config", str(config), "--workers", workers]) == 2  # no cache exists
+    assert "--workers" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("target, problem", [
+    ("run.conf", "missing"), ("run.conf", "directory"), ("run.conf", "not-utf8"),
+    ("interactions.tsv", "directory"), ("interactions.tsv", "not-utf8"), ("demographics.tsv", "not-utf8"),
+], ids=lambda value: value)
+def test_unreadable_inputs_exit_2_naming_the_file(tmp_path, capsys, target, problem):
+    write_raw_tsvs(tmp_path)
+    config = write_config(tmp_path)
+    path = tmp_path / target
+    if problem == "not-utf8":
+        path.write_bytes(path.read_bytes() + b"u1\t\xff\t30\n")
+    else:
+        path.unlink()
+        if problem == "directory":
+            path.mkdir()
+    assert main(["preprocess", "--config", str(config)]) == 2
+    assert str(path) in capsys.readouterr().err
+
+
+def test_a_corrupt_cache_header_exits_2_naming_the_cache(workspace, capsys):
+    tmp_path, config = workspace
+    assert main(["preprocess", "--config", str(config)]) == 0
+    cache = tmp_path / "tiny.cache"
+    cache.write_bytes(MAGIC + (2).to_bytes(8, "little") + b"[]")
+    capsys.readouterr()
+    assert main(["train", "--config", str(config)]) == 2
+    assert str(cache) in capsys.readouterr().err
 
 
 def test_negative_master_seed_is_rejected(tmp_path, capsys):

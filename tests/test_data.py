@@ -1,9 +1,11 @@
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from advrec import data as dp
+from advrec.container import MAGIC, load_container, save_container
 from advrec.errors import ConfigError, DataError
 
 
@@ -299,7 +301,6 @@ def _missing_indices(arrays, meta):
     _missing_indices,
 ])
 def test_load_cache_rejects_inconsistent_caches(tmp_path, corrupt):
-    from advrec.container import load_container, save_container
     from advrec.synthetic import planted_dataset
 
     dataset, attrs = planted_dataset(n_users=20, n_items=15, seed=4, items_low=3, items_high=6)
@@ -310,6 +311,53 @@ def test_load_cache_rejects_inconsistent_caches(tmp_path, corrupt):
     save_container(path, arrays, meta)
     with pytest.raises(DataError):
         dp.load_cache(path)
+
+
+def _entry_edit(edit):
+    def corrupt(header):
+        edit(header["arrays"][0])
+        return json.dumps(header).encode()
+    return corrupt
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda header: b"{not json",
+    lambda header: b'{"format_version": 1, "meta": "\xff"}',
+    lambda header: b"[]",
+    lambda header: json.dumps({"format_version": 1, "meta": {}}).encode(),
+    _entry_edit(lambda entry: entry.pop("offset")),
+    _entry_edit(lambda entry: entry.update(dtype="<f4")),
+    _entry_edit(lambda entry: entry.update(dtype=["<f8"])),
+    _entry_edit(lambda entry: entry.update(nbytes=entry["nbytes"] + 8)),
+    _entry_edit(lambda entry: entry.update(shape="3")),
+    _entry_edit(lambda entry: entry.update(offset=-8)),
+], ids=["not-json", "not-utf8", "json-list", "no-arrays", "no-offset", "dtype-f4", "dtype-list",
+        "nbytes-off", "shape-text", "negative-offset"])
+def test_load_container_rejects_a_corrupt_header_naming_the_file(tmp_path, corrupt):
+    path = tmp_path / "corrupt.bin"
+    save_container(str(path), {"w": np.arange(3.0)}, {"kind": "test"})
+    raw = path.read_bytes()
+    start = len(MAGIC) + 8
+    end = start + int.from_bytes(raw[len(MAGIC):start], "little")
+    header = corrupt(json.loads(raw[start:end]))
+    path.write_bytes(MAGIC + len(header).to_bytes(8, "little") + header + raw[end:])
+    with pytest.raises(DataError, match="corrupt.bin"):
+        load_container(str(path))
+
+
+@pytest.mark.parametrize("target, content", [
+    ("interactions", "directory"), ("interactions", b"u1\t\xff\n"), ("demographics", b"u1\t\xff\t30\n"),
+], ids=["interactions-directory", "interactions-not-utf8", "demographics-not-utf8"])
+def test_unreadable_tsv_is_a_data_error_naming_the_file(tmp_path, target, content):
+    ipath, dpath = write_tsvs(tmp_path, interactions=[("u1", "a")], demographics=[("u1", "m", 10)])
+    path = Path(ipath if target == "interactions" else dpath)
+    if content == "directory":
+        path.unlink()
+        path.mkdir()
+    else:
+        path.write_bytes(path.read_bytes() + content)
+    with pytest.raises(DataError, match=path.name):
+        dp.load_interactions(ipath, dpath)
 
 
 def test_id_maps_are_bijections(tmp_path):

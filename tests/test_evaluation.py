@@ -305,6 +305,22 @@ def test_t_test_swap_symmetry():
     assert abs(fwd.p_value - rev.p_value) < 1e-12
 
 
+@pytest.mark.parametrize("test", [ev.wilcoxon_signed_rank, ev.mcnemar_test, ev.paired_t_test],
+                         ids=lambda test: test.__name__)
+def test_paired_tests_reject_non_finite_values(test):
+    a = np.arange(20.0) % 2
+    b = 1.0 - a  # every pair differs, so each test has a statistic to compute
+    for bad in (np.nan, np.inf):
+        corrupt = b.copy()
+        corrupt[3] = bad
+        with pytest.raises(DataError, match="non-finite"):
+            test(a, corrupt)
+        with pytest.raises(DataError, match="non-finite"):
+            test(corrupt, a)
+    with pytest.raises(ConfigError, match="differ in length"):
+        test(a, b[:-1])
+
+
 def test_percent_scaling_is_exact():
     values = [0.0, 0.25, 0.5, 1.0, 0.123456]
     for v in values:

@@ -9,7 +9,7 @@ from advrec import config as cf
 from advrec import multvae as mv
 from advrec import training as tr
 from advrec.data import make_folds, prepare_fold
-from advrec.errors import ContractError, TrainingDiverged
+from advrec.errors import ConfigError, ContractError, TrainingDiverged
 from advrec.synthetic import planted_dataset
 
 
@@ -31,6 +31,11 @@ def tiny_setup(n_users=100, n_items=40, seed=0, **config_kw):
     folds = make_folds(dataset.n_users, seed=11)
     fold = prepare_fold(dataset, folds[0], config.holdout_ratio, config.data_seed)
     return dataset, attrs, fold, config
+
+
+def units(config, *lambda_maps):
+    """Grid units: ``config`` with each of the lambda maps."""
+    return [dataclasses.replace(config, lambdas=lambdas) for lambdas in lambda_maps]
 
 
 def enc_dec_bytes(model):
@@ -337,8 +342,37 @@ def test_model_labels_follow_suffix_convention():
 
 
 def test_default_grid_has_36_combinations():
-    grid = {"gender": [0, 1, 200, 400, 600, 800], "age": [0, 1, 200, 400, 600, 800]}
-    assert len(tr.lambda_combinations(grid)) == 36
+    config = cf.load_config(None)
+    config["grid.gender"] = config["grid.age"] = [0, 1, 200, 400, 600, 800]
+    assert len(cf.grid_configs(config)) == 36
+
+
+def test_grid_configs_vary_the_last_attribute_fastest_on_one_base():
+    config = cf.load_config(None)
+    config["train.lr"] = 0.01
+    config["lambda.age"] = 7.0  # the grid's attributes make up each unit's whole lambda map
+    config["grid.age"] = [0.0, 5.0]
+    config["grid.gender"] = [1.0, 2.0]
+    grid = cf.grid_configs(config)
+    assert [list(unit.lambdas.items()) for unit in grid] == [
+        [("gender", g), ("age", a)] for g, a in [(1.0, 0.0), (1.0, 5.0), (2.0, 0.0), (2.0, 5.0)]
+    ]
+    base = dataclasses.replace(cf.train_config(config), lambdas={})
+    assert all(dataclasses.replace(unit, lambdas={}) == base for unit in grid)
+
+    config["grid.age"] = None
+    assert [unit.lambdas for unit in cf.grid_configs(config)] == [{"gender": 1.0}, {"gender": 2.0}]
+    config["grid.gender"] = None
+    with pytest.raises(ConfigError, match="grid"):
+        cf.grid_configs(config)
+
+
+def test_grid_search_rejects_a_grid_without_units():
+    dataset, attrs, fold, config = tiny_setup()
+    with pytest.raises(ConfigError, match="no unit"):
+        tr.grid_search(dataset, attrs, [], [fold])
+    with pytest.raises(ConfigError, match="no unit"):
+        tr.grid_search(dataset, attrs, [config], [])
 
 
 def test_grid_row_count_and_single_point_equivalence():
@@ -348,13 +382,17 @@ def test_grid_row_count_and_single_point_equivalence():
         for split in make_folds(dataset.n_users, seed=11)[:2]
     ]
     outcome = tr.grid_search(
-        dataset, attrs, {"gender": [0.0, 100.0], "age": [0.0]}, folds, config, dataset_name="tiny"
+        dataset, attrs, units(config, {"gender": 0.0, "age": 0.0}, {"gender": 100.0, "age": 0.0}), folds,
+        dataset_name="tiny",
     )
     assert not outcome.failures
     assert len(outcome.records) == 2 * 2  # combinations x folds
+    assert [(r.lambdas["gender"], r.fold) for r in outcome.records] == [
+        (lam, fold.index) for lam in (0.0, 100.0) for fold in folds
+    ]
 
     single = tr.grid_search(
-        dataset, attrs, {"gender": [100.0], "age": [0.0]}, folds[:1], config, dataset_name="tiny"
+        dataset, attrs, units(config, {"gender": 100.0, "age": 0.0}), folds[:1], dataset_name="tiny"
     )
     direct = tr.run_single(
         dataset, attrs, folds[0],
@@ -368,9 +406,9 @@ def test_grid_records_do_not_depend_on_worker_count():
     dataset, attrs, _, config = tiny_setup(epochs_adversarial=2, epochs_attack=2)
     folds = [prepare_fold(dataset, make_folds(dataset.n_users, seed=11)[0],
                           config.holdout_ratio, config.data_seed)]
-    grid = {"gender": [0.0, 50.0], "age": [10.0]}
-    serial = tr.grid_search(dataset, attrs, grid, folds, config, workers=1)
-    pooled = tr.grid_search(dataset, attrs, grid, folds, config, workers=2)
+    grid = units(config, {"gender": 0.0, "age": 10.0}, {"gender": 50.0, "age": 10.0})
+    serial = tr.grid_search(dataset, attrs, grid, folds, workers=1)
+    pooled = tr.grid_search(dataset, attrs, grid, folds, workers=2)
     assert not serial.failures and not pooled.failures
     assert [r.result_row() for r in pooled.records] == [r.result_row() for r in serial.records]
     for a, b in zip(serial.records, pooled.records):
@@ -381,7 +419,7 @@ def test_grid_records_do_not_depend_on_worker_count():
 
 def test_grid_records_hold_no_parameter_store():
     dataset, attrs, fold, config = tiny_setup(epochs_adversarial=1, epochs_attack=1)
-    outcome = tr.grid_search(dataset, attrs, {"gender": [0.0, 50.0]}, [fold], config)
+    outcome = tr.grid_search(dataset, attrs, units(config, {"gender": 0.0}, {"gender": 50.0}), [fold])
     assert len(outcome.records) == 2 and all(record.params is None for record in outcome.records)
     single = tr.run_single(dataset, attrs, fold, dataclasses.replace(config, lambdas={"gender": 50.0}))
     assert single.params is not None and "enc.mu_b" in single.params
@@ -391,8 +429,8 @@ def test_grid_results_do_not_depend_on_combination_order():
     dataset, attrs, _, config = tiny_setup(epochs_adversarial=2, epochs_attack=2)
     folds = [prepare_fold(dataset, make_folds(dataset.n_users, seed=11)[0],
                           config.holdout_ratio, config.data_seed)]
-    forward = tr.grid_search(dataset, attrs, {"gender": [0.0, 50.0]}, folds, config)
-    backward = tr.grid_search(dataset, attrs, {"gender": [50.0, 0.0]}, folds, config)
+    forward = tr.grid_search(dataset, attrs, units(config, {"gender": 0.0}, {"gender": 50.0}), folds)
+    backward = tr.grid_search(dataset, attrs, units(config, {"gender": 50.0}, {"gender": 0.0}), folds)
     rows_fwd = sorted(str(sorted(r.result_row().items())) for r in forward.records)
     rows_bwd = sorted(str(sorted(r.result_row().items())) for r in backward.records)
     assert rows_fwd == rows_bwd
@@ -410,7 +448,7 @@ def test_grid_records_failures_and_continues(monkeypatch):
         return original(ds, at, fold, cfg, dataset_name)
 
     monkeypatch.setattr(tr, "run_single", flaky)
-    outcome = tr.grid_search(dataset, attrs, {"gender": [0.0, 13.0]}, folds, config)
+    outcome = tr.grid_search(dataset, attrs, units(config, {"gender": 0.0}, {"gender": 13.0}), folds)
     assert len(outcome.records) == 1
     assert len(outcome.failures) == 1
     assert outcome.failures[0][0] == {"gender": 13.0}
