@@ -125,7 +125,7 @@ def cmd_preprocess(config: dict) -> int:
     for path in (interactions, demographics):
         if not os.path.exists(path):
             raise DataError(f"input file {path!r} does not exist")
-    dataset, attrs = dp.load_interactions(interactions, demographics, config["data.age_cap"])
+    dataset, attrs, ingest = dp.load_interactions(interactions, demographics, config["data.age_cap"])
     steps = {"k_core": config["data.k_core"]}
     if config["data.item_subsample"]:
         dataset, keep_users, _ = dp.item_subsample(
@@ -133,12 +133,16 @@ def cmd_preprocess(config: dict) -> int:
         )
         attrs = attrs.subset(keep_users)
         steps["item_subsample"] = config["data.item_subsample"]
+    n_users, n_items = dataset.n_users, dataset.n_items
     dataset, keep_users, _ = dp.k_core_filter(dataset, config["data.k_core"])
     attrs = attrs.subset(keep_users)
+    ingest["k_core_removed_users"] = n_users - dataset.n_users
+    ingest["k_core_removed_items"] = n_items - dataset.n_items
     if dataset.n_users == 0:
         raise DataError("k-core filtering removed every user; nothing to cache")
     dp.save_cache(cache_path, dataset, attrs, extra_meta={"preprocess": steps})
     stats = dp.dataset_stats(dataset, attrs)
+    stats["ingest"] = ingest
     write_json(cache_path + ".stats.json", stats)
     print(f"dataset: {config['data.name']}")
     print(f"  users          {stats['users']}")
@@ -148,6 +152,7 @@ def cmd_preprocess(config: dict) -> int:
     gender = ", ".join(f"{label}: {count}" for label, count in zip(stats["gender_labels"], stats["gender_counts"]))
     print(f"  gender         {gender}")
     print(f"  age mean/std/median  {stats['age_mean']}/{stats['age_std']}/{stats['age_median']}")
+    print(f"  ingest         {', '.join(f'{key}: {count}' for key, count in ingest.items())}")
     print(f"cache written to {cache_path}")
     return 0
 

@@ -283,7 +283,7 @@ def _convert_ml1m(raw_dir: str, tmp_path):
                     reason=f"set {ML1M_ENV} to the directory holding ratings.dat/users.dat")
 def test_criterion_6_preprocessing_fidelity(tmp_path):
     interactions, demographics = _convert_ml1m(os.environ[ML1M_ENV], tmp_path)
-    dataset, attrs = load_interactions(interactions, demographics, age_cap=60.0)
+    dataset, attrs, _ = load_interactions(interactions, demographics, age_cap=60.0)
     dataset, keep_users, _ = k_core_filter(dataset, 5)
     attrs = attrs.subset(keep_users)
     stats = dataset_stats(dataset, attrs)
@@ -310,7 +310,7 @@ def test_criterion_6_preprocessing_fidelity(tmp_path):
 def test_criterion_7_full_scale_reproduction(tmp_path):
     pytest.importorskip("advrec")
     interactions, demographics = _convert_ml1m(os.environ[ML1M_ENV], tmp_path)
-    dataset, attrs = load_interactions(interactions, demographics, age_cap=60.0)
+    dataset, attrs, _ = load_interactions(interactions, demographics, age_cap=60.0)
     dataset, keep_users, _ = k_core_filter(dataset, 5)
     attrs = attrs.subset(keep_users)
     config = tr.TrainConfig(lambdas={"gender": 0.0, "age": 0.0})

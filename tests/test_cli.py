@@ -81,6 +81,21 @@ def test_preprocess_writes_cache_and_stats(workspace, capsys):
     assert (tmp_path / "tiny.cache").read_bytes() == first
 
 
+def test_preprocess_stats_count_what_ingest_dropped(tmp_path, capsys):
+    (tmp_path / "interactions.tsv").write_text(
+        "user_id\titem_id\nu1\ta\nu1\tb\nu1\ta\n\nu2\ta\nu2\tb\nu3\ta\nu9\tc\n"
+    )
+    (tmp_path / "demographics.tsv").write_text("user_id\tgender\tage\nu1\tm\t30\nu2\tf\t40\nu3\tm\t50\n")
+    assert main(["preprocess", "--config", str(write_config(tmp_path))]) == 0
+    stats = json.loads((tmp_path / "tiny.cache.stats.json").read_text())
+    assert stats["ingest"] == {
+        "lines": 7, "lines_without_demographics": 1, "distinct_pairs": 5,
+        "k_core_removed_users": 1, "k_core_removed_items": 0,
+    }
+    assert (stats["users"], stats["items"], stats["interactions"]) == (2, 2, 4)
+    assert "lines_without_demographics: 1" in capsys.readouterr().out
+
+
 def test_preprocess_missing_demographics_fails_clearly(tmp_path, capsys):
     write_raw_tsvs(tmp_path)
     (tmp_path / "demographics.tsv").unlink()

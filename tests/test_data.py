@@ -1,4 +1,6 @@
 import json
+import random
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +9,9 @@ import pytest
 from advrec import data as dp
 from advrec.container import MAGIC, load_container, save_container
 from advrec.errors import ConfigError, DataError
+
+# the dict-of-sets loader peaked at about 150 bytes per line on this file, the int-code loader at about 44
+MAX_LOAD_BYTES_PER_LINE = 64
 
 
 def write_tsvs(tmp_path, interactions, demographics):
@@ -50,7 +55,7 @@ def test_load_interactions_basic(tmp_path):
         interactions=[("u1", "a"), ("u1", "b"), ("u1", "a"), ("u2", "b"), ("u3", "c")],
         demographics=[("u1", "m", 30), ("u2", "f", 45), ("u4", "m", 20)],
     )
-    dataset, attrs = dp.load_interactions(ipath, dpath, age_cap=60)
+    dataset, attrs, _ = dp.load_interactions(ipath, dpath, age_cap=60)
     # u3 has no demographics; u4 has no interactions; the duplicate collapses
     assert dataset.n_users == 2
     assert dataset.user_ids == ["u1", "u2"]
@@ -66,7 +71,7 @@ def test_load_interactions_drops_users_missing_attributes(tmp_path):
         interactions=[("u1", "a"), ("u2", "a")],
         demographics=[("u1", "m", 30), ("u2", "", 45)],
     )
-    dataset, _ = dp.load_interactions(ipath, dpath)
+    dataset, _, _ = dp.load_interactions(ipath, dpath)
     assert dataset.user_ids == ["u1"]
 
 
@@ -82,7 +87,7 @@ def test_load_interactions_malformed_row_names_line(tmp_path):
 
 def test_load_interactions_empty_file(tmp_path):
     ipath, dpath = write_tsvs(tmp_path, interactions=[], demographics=[("u1", "m", 30)])
-    dataset, attrs = dp.load_interactions(ipath, dpath)
+    dataset, attrs, _ = dp.load_interactions(ipath, dpath)
     assert dataset.n_users == 0 and dataset.n_items == 0
     assert dataset.interaction_count() == 0
 
@@ -94,6 +99,166 @@ def test_load_interactions_rejects_out_of_range_age(tmp_path):
     with pytest.raises(DataError) as err:
         dp.load_interactions(ipath, dpath, age_cap=60)
     assert "u1" in str(err.value)
+
+
+@pytest.mark.parametrize("again", [("u1", "f", 30), ("u1", "m", 50), ("u1", "f", 50)], ids=["gender", "age", "both"])
+def test_conflicting_demographics_name_the_user_and_both_lines(tmp_path, again):
+    ipath, dpath = write_tsvs(
+        tmp_path,
+        interactions=[("u1", "a"), ("u2", "a")],
+        demographics=[("u1", "m", 30), ("u2", "f", 40), again],
+    )
+    with pytest.raises(DataError) as err:
+        dp.load_interactions(ipath, dpath)
+    message = str(err.value)
+    assert "demographics.tsv:4:" in message and "u1" in message and "line 2" in message
+
+
+def test_identical_repeated_demographics_are_accepted(tmp_path):
+    ipath, dpath = write_tsvs(
+        tmp_path,
+        interactions=[("u1", "a"), ("u2", "a")],
+        demographics=[("u1", "m", 30), ("u2", "f", 40), ("u1", "m", "30.0"), ("u2", "", 40)],
+    )
+    dataset, attrs, _ = dp.load_interactions(ipath, dpath)
+    assert dataset.user_ids == ["u1", "u2"]
+    assert attrs.gender_labels == ["m", "f"] and attrs.gender.tolist() == [0, 1]
+    assert attrs.age_raw.tolist() == [30.0, 40.0]
+
+
+def reference_load(path, demographics_path, age_cap):
+    """The dict-of-sets loader that the int-code loader replaced, kept as its reference."""
+
+    def read(tsv):
+        with open(tsv, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.rstrip("\n")
+                if lineno > 1 and line.strip():
+                    yield line.split("\t")
+
+    gender_of, age_of, labels = {}, {}, []
+    for fields in read(demographics_path):
+        gender, age = fields[1].strip(), fields[2].strip()
+        if gender and age:
+            if gender not in labels:
+                labels.append(gender)
+            gender_of[fields[0]], age_of[fields[0]] = labels.index(gender), float(age)
+    items_of, lines, unknown = {}, 0, 0
+    for fields in read(path):
+        lines += 1
+        if fields[0] not in gender_of:
+            unknown += 1
+            continue
+        items_of.setdefault(fields[0], set()).add(fields[1])
+    users = sorted(items_of)
+    item_ids = sorted({item for items in items_of.values() for item in items})
+    item_index = {item: i for i, item in enumerate(item_ids)}
+    indptr, indices = [0], []
+    for u in users:
+        indices += sorted(item_index[item] for item in items_of[u])
+        indptr.append(len(indices))
+    return {
+        "user_ids": users, "item_ids": item_ids, "indptr": indptr, "indices": indices,
+        "gender": [gender_of[u] for u in users], "gender_labels": labels,
+        "age_raw": [age_of[u] for u in users], "age_normalized": [age_of[u] / age_cap for u in users],
+        "counts": {"lines": lines, "lines_without_demographics": unknown, "distinct_pairs": len(indices)},
+    }
+
+
+def loaded(dataset, attrs, counts):
+    return {
+        "user_ids": dataset.user_ids, "item_ids": dataset.item_ids,
+        "indptr": dataset.indptr.tolist(), "indices": dataset.indices.tolist(),
+        "gender": attrs.gender.tolist(), "gender_labels": attrs.gender_labels,
+        "age_raw": attrs.age_raw.tolist(), "age_normalized": attrs.age_normalized.tolist(),
+        "counts": counts,
+    }
+
+
+def write_messy_tsvs(tmp_path, seed):
+    """Seeded TSVs with blank and whitespace-only lines, CRLF ends, extra columns,
+    repeated pairs, non-ASCII ids and users without usable demographics."""
+    rng = random.Random(seed)
+    letters = ["u", "é", "Z", "ß", "用", "😀", "a b"]
+    users = sorted({rng.choice(letters) + str(rng.randrange(40)) for _ in range(60)})
+    items = [rng.choice(letters) + str(n) for n in range(30)]
+    blanks = ["\n", " \t \n", "   \n", "\r\n", "\t\n"]
+    lines = ["user_id\titem_id\n"]
+    for _ in range(rng.randrange(1, 400)):
+        user = rng.choice(users)
+        item = rng.choice(items) if rng.random() < 0.9 else f"only-{user}-{rng.randrange(3)}"
+        extra = rng.choice(["", "", "\t7", "\t3\tx"])
+        end = rng.choice(["\n", "\r\n"])
+        lines.append(f"{user}\t{item}{extra}{end}" * rng.choice([1, 1, 1, 2]))
+        if rng.random() < 0.1:
+            lines.append(rng.choice(blanks))
+    demo = ["user_id\tgender\tage\n"]
+    for user in users:
+        gender, age = rng.choice(["m", "f", " x "]), str(rng.randrange(10, 61))
+        kind = rng.randrange(6)
+        if kind == 0:
+            continue  # no demographics line
+        if kind == 1:
+            gender = ""
+        elif kind == 2:
+            age = " "
+        elif kind == 3:
+            demo.append(f"{user}\t{gender}\t{age}.0\tplays\r\n")  # an identical repeat
+        demo.append(f"{user}\t{gender}\t{age}\n")
+        if rng.random() < 0.1:
+            demo.append(rng.choice(blanks))
+    ipath, dpath = tmp_path / "interactions.tsv", tmp_path / "demographics.tsv"
+    ipath.write_bytes("".join(lines).encode("utf-8"))
+    dpath.write_bytes("".join(demo).encode("utf-8"))
+    return str(ipath), str(dpath)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_load_interactions_matches_the_dict_of_sets_reference(tmp_path, seed):
+    ipath, dpath = write_messy_tsvs(tmp_path, seed)
+    got = loaded(*dp.load_interactions(ipath, dpath, age_cap=60.0))
+    assert got == reference_load(ipath, dpath, 60.0)
+    assert got["user_ids"] == sorted(got["user_ids"], key=lambda u: [ord(c) for c in u])
+
+
+@pytest.mark.parametrize("content", ["user_id\titem_id\n", "user_id\titem_id", ""], ids=["header", "no-newline", "empty"])
+def test_load_interactions_of_a_file_without_data_lines(tmp_path, content):
+    _, dpath = write_messy_tsvs(tmp_path, 0)
+    ipath = tmp_path / "header-only.tsv"
+    ipath.write_text(content)
+    got = loaded(*dp.load_interactions(str(ipath), dpath, age_cap=60.0))
+    assert got == reference_load(str(ipath), dpath, 60.0)
+    assert got["counts"] == {"lines": 0, "lines_without_demographics": 0, "distinct_pairs": 0}
+
+
+@pytest.mark.parametrize("bad, column", [("u1\n", "expected at least 2 columns, got 1"), ("\ta\n", "empty user"),
+                                          ("u1\t\n", "empty user or item")])
+def test_bad_lines_after_blank_lines_report_their_physical_line(tmp_path, bad, column):
+    ipath = tmp_path / "interactions.tsv"
+    ipath.write_text("user_id\titem_id\nu1\ta\n\n \t \r\nu1\tb\r\n\n" + bad)
+    dpath = tmp_path / "demographics.tsv"
+    dpath.write_text("user_id\tgender\tage\nu1\tm\t30\n")
+    with pytest.raises(DataError, match=f"interactions.tsv:7: {column}"):
+        dp.load_interactions(str(ipath), str(dpath))
+
+
+def test_load_interactions_peak_memory_per_line(tmp_path):
+    """Peak traced allocation of the loader, per interaction line of a 105k-line file."""
+    rng = np.random.default_rng(0)
+    n_users, per_user = 3500, 30
+    users = np.repeat(np.arange(n_users), per_user)
+    items = rng.integers(0, 5000, len(users))
+    ipath, dpath = tmp_path / "interactions.tsv", tmp_path / "demographics.tsv"
+    ipath.write_text("user_id\titem_id\n" + "".join(map("user{}\titem{}\n".format, users.tolist(), items.tolist())))
+    dpath.write_text("user_id\tgender\tage\n" + "".join(f"user{u}\t{'mf'[u % 2]}\t{20 + u % 40}\n" for u in range(n_users)))
+    tracemalloc.start()
+    try:
+        dataset, _, counts = dp.load_interactions(str(ipath), str(dpath))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts["lines"] == len(users) and dataset.n_users == n_users
+    assert peak / len(users) < MAX_LOAD_BYTES_PER_LINE
 
 
 def make_dataset(pairs):
@@ -366,7 +531,7 @@ def test_id_maps_are_bijections(tmp_path):
         interactions=[("u1", "a"), ("u2", "b"), ("u3", "a"), ("u3", "b")],
         demographics=[("u1", "m", 10), ("u2", "f", 20), ("u3", "f", 30)],
     )
-    dataset, _ = dp.load_interactions(ipath, dpath)
+    dataset, _, _ = dp.load_interactions(ipath, dpath)
     assert len(set(dataset.user_ids)) == dataset.n_users
     assert len(set(dataset.item_ids)) == dataset.n_items
     for row in dataset.rows:
