@@ -6,10 +6,16 @@ partitions, and inverse-frequency class weights.
 
 ``load_interactions`` orders user and item ids as strings (by code point),
 collapses repeated (user, item) pairs and rejects a user whose
-demographics lines disagree. It maps each line's ids to int codes as it
-reads, so its memory grows by about 16 bytes per interaction line plus the
-two id maps; building the sorted pairs after the read peaks near 45 bytes
-per line.
+demographics lines disagree. Its gender labels are those the kept users
+hold, in the order the demographics file first gives them. It maps each
+line's ids to int codes as it reads, so its memory grows by about 16 bytes
+per interaction line plus the two id maps; building the sorted pairs after
+the read peaks near 35 bytes per line.
+
+Every dataset is built by ``InteractionDataset.from_codes`` from strictly
+increasing user-major pair codes ``u * n_items + i``. The loader, the k-core
+and the planted generator each hand it codes in that order, so it sorts
+nothing.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from itertools import compress
 import numpy as np
 
 from .container import load_container, save_container
-from .errors import ConfigError, DataError
+from .errors import ConfigError, ContractError, DataError
 
 log = logging.getLogger(__name__)
 
@@ -34,6 +40,10 @@ class InteractionDataset:
     Interactions are held as CSR: user ``u``'s items are
     ``indices[indptr[u]:indptr[u + 1]]``, sorted ascending and distinct.
     Both arrays are int64, and the dataset cache stores them as they are.
+    ``from_codes`` takes the pairs as strictly increasing codes
+    ``u * n_items + i`` and raises ``ContractError`` for codes that are out
+    of order, repeated or out of range; a cache whose rows break the order
+    is a ``DataError``.
     """
 
     n_users: int
@@ -44,13 +54,12 @@ class InteractionDataset:
     item_ids: list[str]
 
     @classmethod
-    def from_pairs(cls, users: np.ndarray, items: np.ndarray, user_ids: list[str], item_ids: list[str]):
-        """Dataset from distinct (user index, item index) pairs in any order."""
+    def from_codes(cls, codes: np.ndarray, user_ids: list[str], item_ids: list[str]):
+        """Dataset from strictly increasing user-major pair codes ``u * n_items + i``."""
         n_users, n_items = len(user_ids), len(item_ids)
-        indptr = np.zeros(n_users + 1, dtype=np.int64)
-        np.cumsum(np.bincount(users, minlength=n_users), out=indptr[1:])
-        # one sort of user-major pair codes orders the users and each user's items
-        codes = np.sort(np.asarray(users, dtype=np.int64) * n_items + items)
+        if np.any(codes[1:] <= codes[:-1]) or (len(codes) and (codes[0] < 0 or codes[-1] >= n_users * n_items)):
+            raise ContractError(f"pair codes must be strictly increasing and lie in [0, {n_users * n_items})")
+        indptr = np.searchsorted(codes, np.arange(n_users + 1, dtype=np.int64) * n_items)
         return cls(n_users, n_items, indptr, codes % n_items, user_ids, item_ids)
 
     def row(self, u: int) -> np.ndarray:
@@ -96,10 +105,12 @@ class UserAttributes:
     age_cap: float
 
     def subset(self, user_indices) -> "UserAttributes":
+        """The given users' attributes; only the gender labels they hold stay, renumbered in order."""
         idx = np.asarray(user_indices)
+        gender, gender_labels = _held_labels(self.gender[idx], self.gender_labels)
         return UserAttributes(
-            gender=self.gender[idx],
-            gender_labels=list(self.gender_labels),
+            gender=gender,
+            gender_labels=gender_labels,
             age_raw=self.age_raw[idx],
             age_normalized=self.age_normalized[idx],
             age_cap=self.age_cap,
@@ -107,6 +118,12 @@ class UserAttributes:
 
     def targets(self) -> dict[str, np.ndarray]:
         return {"gender": self.gender, "age": self.age_normalized}
+
+
+def _held_labels(gender: np.ndarray, labels: list[str]) -> tuple[np.ndarray, list[str]]:
+    """Gender codes renumbered over the labels that occur in them, and those labels in their order."""
+    held, codes = np.unique(gender, return_inverse=True)
+    return codes, [labels[c] for c in held]
 
 
 @dataclass
@@ -173,6 +190,7 @@ def load_interactions(path: str, demographics_path: str, age_cap: float = 60.0):
     Users lacking gender or age are dropped; a user listed twice with
     different values is a ``DataError``. Interaction lines of users without
     usable demographics are counted and dropped; repeated pairs collapse.
+    Only the gender labels that kept users hold are listed.
     The counts are the data ``lines`` read, the ``lines_without_demographics``
     dropped and the ``distinct_pairs`` kept.
     """
@@ -231,13 +249,14 @@ def load_interactions(path: str, demographics_path: str, age_cap: float = 60.0):
     np.not_equal(codes[1:], codes[:-1], out=distinct[1:])
     codes = codes[distinct]
     del distinct
-    pair_users, pair_items = np.divmod(codes, max(len(item_ids), 1))  # no items only if no pairs
-    del codes
-    dataset = InteractionDataset.from_pairs(pair_users, pair_items, user_ids, item_ids)
+    dataset = InteractionDataset.from_codes(codes, user_ids, item_ids)
+    gender, gender_labels = _held_labels(
+        np.array([demographics[u][0] for u in user_ids], dtype=np.int64), list(gender_index)
+    )
     age_raw = np.array([demographics[u][1] for u in user_ids])
     attrs = UserAttributes(
-        gender=np.array([demographics[u][0] for u in user_ids], dtype=np.int64),
-        gender_labels=list(gender_index),
+        gender=gender,
+        gender_labels=gender_labels,
         age_raw=age_raw,
         age_normalized=age_raw / age_cap,
         age_cap=age_cap,
@@ -250,16 +269,15 @@ def load_interactions(path: str, demographics_path: str, age_cap: float = 60.0):
     return dataset, attrs, counts
 
 
-def _reindex(dataset: InteractionDataset, user_alive: np.ndarray, item_alive: np.ndarray):
-    """The dataset cut to the alive users and items, with their indices into it."""
-    pair_users = dataset.pair_users()
+def _reindex(dataset: InteractionDataset, pair_users: np.ndarray, user_alive: np.ndarray, item_alive: np.ndarray):
+    """The dataset cut to the alive users and items, with their indices into it; the kept codes stay sorted."""
     kept = user_alive[pair_users] & item_alive[dataset.indices]
     keep_users, keep_items = np.flatnonzero(user_alive), np.flatnonzero(item_alive)
-    reindexed = InteractionDataset.from_pairs(
-        (np.cumsum(user_alive) - 1)[pair_users[kept]],
-        (np.cumsum(item_alive) - 1)[dataset.indices[kept]],
-        [dataset.user_ids[u] for u in keep_users],
-        [dataset.item_ids[i] for i in keep_items],
+    codes = (np.cumsum(user_alive) - 1)[pair_users[kept]]
+    codes *= len(keep_items)
+    codes += (np.cumsum(item_alive) - 1)[dataset.indices[kept]]
+    reindexed = InteractionDataset.from_codes(
+        codes, [dataset.user_ids[u] for u in keep_users], [dataset.item_ids[i] for i in keep_items]
     )
     return reindexed, keep_users, keep_items
 
@@ -281,7 +299,7 @@ def k_core_filter(dataset: InteractionDataset, k: int):
         new_user_alive = user_alive & (np.bincount(pair_users[live], minlength=dataset.n_users) >= k)
         new_item_alive = item_alive & (np.bincount(dataset.indices[live], minlength=dataset.n_items) >= k)
         if np.array_equal(new_user_alive, user_alive) and np.array_equal(new_item_alive, item_alive):
-            return _reindex(dataset, user_alive, item_alive)
+            return _reindex(dataset, pair_users, user_alive, item_alive)
         user_alive, item_alive = new_user_alive, new_item_alive
 
 
@@ -292,8 +310,9 @@ def item_subsample(dataset: InteractionDataset, n_target: int, seed: int):
     rng = np.random.default_rng(seed)
     item_alive = np.zeros(dataset.n_items, dtype=bool)
     item_alive[rng.choice(dataset.n_items, size=n_target, replace=False)] = True
-    user_alive = np.bincount(dataset.pair_users()[item_alive[dataset.indices]], minlength=dataset.n_users) > 0
-    return _reindex(dataset, user_alive, item_alive)
+    pair_users = dataset.pair_users()
+    user_alive = np.bincount(pair_users[item_alive[dataset.indices]], minlength=dataset.n_users) > 0
+    return _reindex(dataset, pair_users, user_alive, item_alive)
 
 
 def make_folds(user_count: int, seed: int, n_folds: int = 5) -> list[FoldSplit]:
@@ -411,6 +430,10 @@ def _check_cache(path: str, arrays: dict, meta: dict) -> None:
         raise DataError(f"{path}: indptr must start at 0, never decrease and end at {len(indices)}")
     if indices.size and (indices.min() < 0 or indices.max() >= n_items):
         raise DataError(f"{path}: item indices must lie in [0, {n_items})")
+    codes = np.repeat(np.arange(n_users, dtype=np.int64) * n_items, np.diff(indptr))
+    codes += indices
+    if np.any(codes[1:] <= codes[:-1]):
+        raise DataError(f"{path}: each user's item indices must be strictly increasing")
     for name in ("gender", "age_raw", "age_normalized"):
         if arrays[name].shape != (n_users,):
             raise DataError(f"{path}: {name} has shape {arrays[name].shape}, expected ({n_users},)")

@@ -62,14 +62,13 @@ def planted_dataset(
     counts = items_low + np.rint((items_high - items_low) * age_norm).astype(int)
 
     sizes = np.minimum(counts, n_items)
-    items = np.concatenate(
+    codes = np.repeat(np.arange(n_users, dtype=np.int64) * n_items, sizes)
+    codes += np.concatenate(
         [rng.choice(n_items, size=sizes[u], replace=False, p=probs[u]) for u in range(n_users)]
     )
-    dataset = InteractionDataset.from_pairs(
-        np.repeat(np.arange(n_users, dtype=np.int64), sizes),
-        items,
-        user_ids=[f"u{u}" for u in range(n_users)],
-        item_ids=[f"i{i}" for i in range(n_items)],
+    codes.sort()
+    dataset = InteractionDataset.from_codes(
+        codes, user_ids=[f"u{u}" for u in range(n_users)], item_ids=[f"i{i}" for i in range(n_items)]
     )
     attrs = UserAttributes(
         gender=gender,

@@ -96,6 +96,18 @@ def test_preprocess_stats_count_what_ingest_dropped(tmp_path, capsys):
     assert "lines_without_demographics: 1" in capsys.readouterr().out
 
 
+def test_a_gender_label_that_no_kept_user_holds_is_dropped(workspace, capsys):
+    tmp_path, config = workspace
+    demographics = tmp_path / "demographics.tsv"
+    header, rest = demographics.read_text().split("\n", 1)
+    demographics.write_text(f"{header}\nnobody\tx\t30\n{rest}")  # demographics, but no interaction lines
+    assert main(["preprocess", "--config", str(config)]) == 0
+    stats = json.loads((tmp_path / "tiny.cache.stats.json").read_text())
+    assert stats["gender_labels"] == ["g0", "g1"] and sum(stats["gender_counts"]) == stats["users"]
+    assert 0 not in stats["gender_counts"]
+    assert main(["train", "--config", str(config), "--lambda", "gender=400"]) == 0
+
+
 def test_preprocess_missing_demographics_fails_clearly(tmp_path, capsys):
     write_raw_tsvs(tmp_path)
     (tmp_path / "demographics.tsv").unlink()

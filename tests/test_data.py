@@ -8,10 +8,14 @@ import pytest
 
 from advrec import data as dp
 from advrec.container import MAGIC, load_container, save_container
-from advrec.errors import ConfigError, DataError
+from advrec.errors import ConfigError, ContractError, DataError
 
-# the dict-of-sets loader peaked at about 150 bytes per line on this file, the int-code loader at about 44
+# the dict-of-sets loader peaked at about 150 bytes per line on this file, the int-code loader at about 43,
+# and at about 35 once it handed its sorted pair codes to the dataset without splitting them
 MAX_LOAD_BYTES_PER_LINE = 64
+# k_core_filter on planted_dataset(4000, 500, seed=0), 160k pairs: the k-core that decoded its kept pairs and
+# sorted them again peaked at 50.7 bytes per pair, the one that keeps their order at 34.3
+MAX_K_CORE_BYTES_PER_PAIR = 40
 
 
 def write_tsvs(tmp_path, interactions, demographics):
@@ -127,7 +131,10 @@ def test_identical_repeated_demographics_are_accepted(tmp_path):
 
 
 def reference_load(path, demographics_path, age_cap):
-    """The dict-of-sets loader that the int-code loader replaced, kept as its reference."""
+    """The dict-of-sets loader that the int-code loader replaced, kept as its reference.
+
+    Its gender labels are those its users hold, in the order the demographics file first gives them.
+    """
 
     def read(tsv):
         with open(tsv, encoding="utf-8") as fh:
@@ -151,6 +158,7 @@ def reference_load(path, demographics_path, age_cap):
             continue
         items_of.setdefault(fields[0], set()).add(fields[1])
     users = sorted(items_of)
+    held = sorted({gender_of[u] for u in users})
     item_ids = sorted({item for items in items_of.values() for item in items})
     item_index = {item: i for i, item in enumerate(item_ids)}
     indptr, indices = [0], []
@@ -159,7 +167,7 @@ def reference_load(path, demographics_path, age_cap):
         indptr.append(len(indices))
     return {
         "user_ids": users, "item_ids": item_ids, "indptr": indptr, "indices": indices,
-        "gender": [gender_of[u] for u in users], "gender_labels": labels,
+        "gender": [held.index(gender_of[u]) for u in users], "gender_labels": [labels[g] for g in held],
         "age_raw": [age_of[u] for u in users], "age_normalized": [age_of[u] / age_cap for u in users],
         "counts": {"lines": lines, "lines_without_demographics": unknown, "distinct_pairs": len(indices)},
     }
@@ -266,16 +274,12 @@ def make_dataset(pairs):
     items = sorted({i for _, i in pairs})
     user_index = {u: n for n, u in enumerate(users)}
     item_index = {i: n for n, i in enumerate(items)}
-    return dp.InteractionDataset.from_pairs(
-        np.array([user_index[u] for u, _ in pairs], dtype=np.int64),
-        np.array([item_index[i] for _, i in pairs], dtype=np.int64),
-        users,
-        items,
-    )
+    codes = sorted(user_index[u] * len(items) + item_index[i] for u, i in pairs)
+    return dp.InteractionDataset.from_codes(np.array(codes, dtype=np.int64), users, items)
 
 
-def test_csr_layout_from_pairs_in_any_order():
-    dataset = make_dataset([("u2", "b"), ("u1", "c"), ("u2", "a"), ("u1", "a")])
+def test_csr_layout_from_sorted_codes():
+    dataset = dp.InteractionDataset.from_codes(np.array([0, 2, 3, 4]), ["u1", "u2"], ["a", "b", "c"])
     assert dataset.indptr.tolist() == [0, 2, 4]
     assert dataset.indices.tolist() == [0, 2, 0, 1]
     assert dataset.indptr.dtype == dataset.indices.dtype == np.int64
@@ -283,6 +287,55 @@ def test_csr_layout_from_pairs_in_any_order():
     assert dataset.row(1).tolist() == [0, 1]
     assert dataset.batch_matrix([1, 0]).tolist() == [[1, 1, 0], [1, 0, 1]]
     assert dataset.interaction_count() == 4
+
+
+@pytest.mark.parametrize("codes", [[0, 4, 2], [0, 2, 2], [-1, 2], [0, 6]],
+                         ids=["unsorted", "repeated", "negative", "past-the-last-cell"])
+def test_from_codes_rejects_codes_out_of_order_or_range(codes):
+    with pytest.raises(ContractError, match=r"strictly increasing and lie in \[0, 6\)"):
+        dp.InteractionDataset.from_codes(np.array(codes, dtype=np.int64), ["u1", "u2"], ["a", "b", "c"])
+
+
+def test_from_codes_of_no_pairs_and_of_no_items():
+    none = np.array([], dtype=np.int64)
+    dataset = dp.InteractionDataset.from_codes(none, ["u1", "u2"], ["a"])
+    assert dataset.indptr.tolist() == [0, 0, 0] and dataset.indices.tolist() == []
+    assert dataset.batch_matrix([1]).tolist() == [[0.0]]
+    dataset = dp.InteractionDataset.from_codes(none, ["u1"], [])
+    assert dataset.n_items == 0 and dataset.indptr.tolist() == [0, 0]
+    assert dataset.indptr.dtype == dataset.indices.dtype == np.int64
+    with pytest.raises(ContractError):
+        dp.InteractionDataset.from_codes(np.array([0], dtype=np.int64), ["u1"], [])
+
+
+def test_k_core_filter_peak_memory_per_pair():
+    from advrec.synthetic import planted_dataset
+
+    dataset, _ = planted_dataset(4000, 500, seed=0)
+    tracemalloc.start()
+    try:
+        filtered, _, _ = dp.k_core_filter(dataset, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert filtered.n_users == dataset.n_users
+    assert peak / dataset.interaction_count() < MAX_K_CORE_BYTES_PER_PAIR
+
+
+def test_k_core_that_removes_every_user_of_a_label_drops_the_label(tmp_path):
+    ipath, dpath = write_tsvs(
+        tmp_path,
+        interactions=[("u1", "a"), ("u1", "b"), ("u2", "a"), ("u2", "b"), ("u3", "a")],
+        demographics=[("u1", "m", 30), ("u3", "x", 20), ("u2", "f", 40)],
+    )
+    dataset, attrs, _ = dp.load_interactions(ipath, dpath)
+    assert attrs.gender_labels == ["m", "x", "f"] and attrs.gender.tolist() == [0, 2, 1]
+    filtered, keep_users, _ = dp.k_core_filter(dataset, 2)
+    kept = attrs.subset(keep_users)
+    assert filtered.user_ids == ["u1", "u2"]
+    assert kept.gender_labels == ["m", "f"] and kept.gender.tolist() == [0, 1]
+    assert dp.dataset_stats(filtered, kept)["gender_counts"] == [1, 1]
+    assert dp.class_weights(kept.gender, len(kept.gender_labels)).tolist() == [1.0, 1.0]
 
 
 def test_k_core_fixpoint_unchanged():
@@ -460,10 +513,22 @@ def _missing_indices(arrays, meta):
     del arrays["indices"]
 
 
+def _reversed_row(arrays, meta):
+    stop = arrays["indptr"][1]
+    arrays["indices"] = arrays["indices"].copy()
+    arrays["indices"][:stop] = arrays["indices"][:stop][::-1].copy()
+
+
+def _repeated_item(arrays, meta):
+    start = arrays["indptr"][1]
+    arrays["indices"] = arrays["indices"].copy()
+    arrays["indices"][start + 1] = arrays["indices"][start]
+
+
 @pytest.mark.parametrize("corrupt", [
     _truncated_indptr, _index_past_the_catalog, _short_gender, _decreasing_indptr,
     _indptr_short_of_indices, _negative_index, _float_indices, _short_age, _missing_item_ids,
-    _missing_indices,
+    _missing_indices, _reversed_row, _repeated_item,
 ])
 def test_load_cache_rejects_inconsistent_caches(tmp_path, corrupt):
     from advrec.synthetic import planted_dataset
@@ -474,7 +539,7 @@ def test_load_cache_rejects_inconsistent_caches(tmp_path, corrupt):
     arrays, meta = load_container(path)
     corrupt(arrays, meta)
     save_container(path, arrays, meta)
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="a.cache"):
         dp.load_cache(path)
 
 
