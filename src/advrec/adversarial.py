@@ -232,8 +232,6 @@ def attacker_predictions(
     z = tape.constant(latents, name="latents")
     predictions = {}
     for spec in specs:
-        if f"attacker.{spec.name}.out_b" not in attackers:
-            raise DataError(f"no attacker for attribute {spec.name!r}; run the attack command for it")
         out = adv_forward(z, constants, spec, role="attacker").data
         predictions[spec.name] = out.argmax(axis=1) if spec.kind == CATEGORICAL else out.reshape(-1)
     return predictions
@@ -304,14 +302,6 @@ ATTACKER_KIND = "attacker"
 def save_attacker(path: str, attackers: dict[str, Array], meta: dict) -> None:
     save_container(path, {name: np.asarray(arr) for name, arr in attackers.items()},
                    {"kind": ATTACKER_KIND, **meta})
-
-
-def load_attacker(path: str) -> tuple[Params, dict]:
-    arrays, meta = load_container(path)
-    if meta.get("kind") != ATTACKER_KIND:
-        raise DataError(f"{path}: not an attacker file")
-    attrs = dict.fromkeys(name.split(".")[1] for name in arrays if name.startswith("attacker."))
-    return checked_params(path, arrays, {f"attacker.{attr}": HEAD for attr in attrs}), meta
 
 
 def specs_meta(specs: list[AttributeSpec]) -> list[dict]:

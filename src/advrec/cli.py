@@ -1,9 +1,13 @@
-"""Command-line entry point: preprocess, train, attack, eval, grid, export."""
+"""Command-line entry point: preprocess, train, attack, eval, grid, export.
+
+``attack`` stores the test users' latent means beside its attackers'
+predictions in ``attack_scores.bin``. ``export-embeddings`` formats that
+record, so it writes what the attack measured and loads no model.
+"""
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import logging
@@ -11,13 +15,15 @@ import os
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import __version__
 from . import adversarial as adv
 from . import config as cf
 from . import data as dp
 from . import evaluation as ev
 from . import training as tr
-from .container import atomic_open, save_container
+from .container import atomic_open, load_container, save_container
 from .errors import AdvrecError, ConfigError, DataError
 
 log = logging.getLogger("advrec")
@@ -180,8 +186,8 @@ def cmd_attack(config: dict) -> int:
         {"model": run.label, "fold": run.fold.index, "attributes": adv.specs_meta(specs)},
     )
     save_container(
-        os.path.join(run.out_dir, "attack_scores.bin"), result.per_user,
-        {"kind": "attack-scores", "model": run.label, "fold": run.fold.index},
+        os.path.join(run.out_dir, "attack_scores.bin"), {**result.per_user, "mu": result.latents},
+        {"kind": "attack-scores", "model": run.label, "fold": run.fold.index, "n_items": run.dataset.n_items},
     )
     run.write_result("attack_metrics.csv", result.metrics)
     printable = ", ".join(f"{k}={ev.as_percent(v):.2f}" for k, v in result.metrics.items())
@@ -240,28 +246,32 @@ def cmd_grid(config: dict, workers: int) -> int:
 
 def cmd_export_embeddings(config: dict) -> int:
     run = FoldRun.of(config)
-    model = run.model()
-    attacker_path = os.path.join(run.out_dir, "attacker.bin")
-    if not os.path.exists(attacker_path):
-        raise DataError(f"no attacker at {attacker_path!r}; run the attack command first")
-    heads, meta = adv.load_attacker(attacker_path)
-    # continuous outputs are squashed as the loaded attackers were trained, whatever the config says now
-    squash = {attr["name"]: attr["squash"] for attr in meta.get("attributes", [])}
-    specs = [dataclasses.replace(spec, squash=squash.get(spec.name, spec.squash)) for spec in run.specs()]
+    specs = run.specs()
+    path = os.path.join(run.out_dir, "attack_scores.bin")
+    if not os.path.exists(path):
+        raise DataError(f"no attack scores at {path!r}; run the attack command first")
+    # the attack's own record: the latent means its attackers were scored on, and their predictions
+    scores, meta = load_container(path)
     test_users = run.fold.split.test
-    latents = tr.encode_users(run.dataset, test_users, model)
-    predictions = adv.attacker_predictions(latents, heads, specs)
+    if "mu" not in scores or meta.get("n_items") != run.dataset.n_items:
+        raise DataError(f"{path}: the attacked checkpoint expects {meta.get('n_items')} items, dataset has "
+                        f"{run.dataset.n_items}, or the file predates latent means; run the attack command again")
+    if not np.array_equal(scores.get("test_users"), test_users):
+        raise DataError(f"{path} holds the attack on other test users; run the attack command again")
+    for spec in specs:
+        if f"pred_{spec.name}" not in scores:
+            raise DataError(f"{path} has no attacker for attribute {spec.name!r}; run the attack command for it")
     targets = run.attrs.targets()
 
     def cell(spec, value) -> str:
         return str(int(value)) if spec.kind == adv.CATEGORICAL else f"{value:.17g}"
 
-    header = ["user_id"] + [f"z{i}" for i in range(latents.shape[1])]
+    header = ["user_id"] + [f"z{i}" for i in range(scores["mu"].shape[1])]
     header += [f"pred_{spec.name}" for spec in specs] + [f"true_{spec.name}" for spec in specs]
     lines = ["\t".join(header)]
     for i, user in enumerate(test_users):
-        parts = [run.dataset.user_ids[user]] + [f"{value:.17g}" for value in latents[i]]
-        parts += [cell(spec, predictions[spec.name][i]) for spec in specs]
+        parts = [run.dataset.user_ids[user]] + [f"{value:.17g}" for value in scores["mu"][i]]
+        parts += [cell(spec, scores[f"pred_{spec.name}"][i]) for spec in specs]
         parts += [cell(spec, targets[spec.name][user]) for spec in specs]
         lines.append("\t".join(parts))
     out_path = os.path.join(run.out_dir, "embeddings.tsv")
@@ -284,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("attack", "train attackers against a frozen checkpoint"),
         ("eval", "compute ranking metrics for a checkpoint"),
         ("grid", "sweep lambda combinations across all folds"),
-        ("export-embeddings", "dump test-user latents with attacker predictions"),
+        ("export-embeddings", "write the attack's test-user latents and predictions as TSV"),
     ]:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", metavar="PATH", help="key=value configuration file")

@@ -45,19 +45,18 @@ def atomic_open(path: str, mode: str = "w"):
 
 def save_container(path: str, arrays: dict[str, np.ndarray], meta: dict | None = None) -> None:
     entries = []
-    blobs = []
+    contiguous = []
     offset = 0
     for name in sorted(arrays):
         arr = np.ascontiguousarray(arrays[name])
         dtype = arr.dtype.str
         if dtype not in _ALLOWED_DTYPES:
             raise DataError(f"container does not store dtype {dtype} (array {name!r})")
-        raw = arr.tobytes(order="C")
         entries.append(
-            {"name": name, "dtype": dtype, "shape": list(arr.shape), "offset": offset, "nbytes": len(raw)}
+            {"name": name, "dtype": dtype, "shape": list(arr.shape), "offset": offset, "nbytes": arr.nbytes}
         )
-        blobs.append(raw)
-        offset += len(raw)
+        contiguous.append(arr)
+        offset += arr.nbytes
     header = {"format_version": FORMAT_VERSION, "meta": meta or {}, "arrays": entries}
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
@@ -65,8 +64,13 @@ def save_container(path: str, arrays: dict[str, np.ndarray], meta: dict | None =
         fh.write(MAGIC)
         fh.write(len(header_bytes).to_bytes(8, "little"))
         fh.write(header_bytes)
-        for raw in blobs:
-            fh.write(raw)
+        for arr in contiguous:
+            fh.write(_bytes_of(arr))
+
+
+def _bytes_of(arr: np.ndarray) -> np.ndarray:
+    """The bytes of the C-contiguous ``arr`` as a flat uint8 view, which shares its memory."""
+    return arr.reshape(-1).view(np.uint8)
 
 
 def _checked_header(path: str, raw: bytes) -> dict:
@@ -99,19 +103,23 @@ def _checked_header(path: str, raw: bytes) -> dict:
 
 
 def load_container(path: str) -> tuple[dict[str, np.ndarray], dict]:
+    """The arrays and the metadata of the container at ``path``. Each array
+    is read straight into its own new, writeable array."""
+    arrays = {}
     with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
             raise DataError(f"{path}: not a recognized container file")
         header_len = int.from_bytes(fh.read(8), "little")
         header = _checked_header(path, fh.read(header_len))
-        payload = fh.read()
-    arrays = {}
-    for entry in header["arrays"]:
-        start, nbytes = entry["offset"], entry["nbytes"]
-        raw = payload[start : start + nbytes]
-        if len(raw) != nbytes:
-            raise DataError(f"{path}: truncated array {entry['name']!r}")
-        arr = np.frombuffer(raw, dtype=np.dtype(entry["dtype"])).reshape(entry["shape"]).copy()
-        arrays[entry["name"]] = arr
+        payload_start, size = fh.tell(), os.fstat(fh.fileno()).st_size
+        for entry in header["arrays"]:
+            start = payload_start + entry["offset"]
+            # checked before allocating, so that a corrupt shape cannot ask for more memory than the file holds
+            if start + entry["nbytes"] > size:
+                raise DataError(f"{path}: truncated array {entry['name']!r}")
+            arr = np.empty(entry["shape"], dtype=np.dtype(entry["dtype"]))
+            fh.seek(start)
+            fh.readinto(_bytes_of(arr))
+            arrays[entry["name"]] = arr
     return arrays, header["meta"]

@@ -437,6 +437,13 @@ def _check_cache(path: str, arrays: dict, meta: dict) -> None:
     for name in ("gender", "age_raw", "age_normalized"):
         if arrays[name].shape != (n_users,):
             raise DataError(f"{path}: {name} has shape {arrays[name].shape}, expected ({n_users},)")
+    gender, n_labels = arrays["gender"], len(meta["gender_labels"])
+    if gender.dtype != np.int64 or np.any((gender < 0) | (gender >= n_labels)):
+        raise DataError(f"{path}: gender codes must be int64 in [0, {n_labels}), one per stored label")
+    for name, cap in (("age_raw", meta["age_cap"]), ("age_normalized", 1.0)):
+        age = arrays[name]
+        if age.dtype != np.float64 or not np.all(np.isfinite(age) & (age >= 0.0) & (age <= cap)):
+            raise DataError(f"{path}: {name} must hold finite float64 values in [0, {cap}]")
     if len(meta["user_ids"]) != n_users or len(meta["item_ids"]) != n_items:
         raise DataError(f"{path}: id lists do not match {n_users} users and {n_items} items")
 

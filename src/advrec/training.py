@@ -7,6 +7,10 @@ no parameter-sized array. The removal phase returns the one store that
 ``TrainConfig.selection`` picks; only ``"best"`` copies it, at each
 validation improvement.
 
+The attack phase returns the test users' latent means with the
+predictions its attackers made from them: the one record of what an
+attack measured.
+
 Three independent RNG streams (model, data, adversary) keep runs
 reproducible and make zero-scale adversarial runs bit-identical to plain
 recommender training: head initialization and any adversary-side draws
@@ -374,6 +378,7 @@ class AttackResult:
     metrics: dict
     per_user: dict
     log: list
+    latents: np.ndarray  # the test users' latent means, in ``per_user["test_users"]`` order
 
 
 def train_attack_phase(
@@ -429,7 +434,7 @@ def train_attack_phase(
         else:
             metrics[f"mae_{spec.name}"] = ev.mae_metric(pred, truth)
             per_user[f"abs_err_{spec.name}"] = np.abs(pred - truth)
-    return AttackResult(heads=heads, metrics=metrics, per_user=per_user, log=log)
+    return AttackResult(heads=heads, metrics=metrics, per_user=per_user, log=log, latents=latents_test)
 
 
 @dataclass

@@ -316,20 +316,6 @@ def test_checkpoint_roundtrip_is_bit_exact(tmp_path):
         assert loaded[name].tobytes() == arr.tobytes()
 
 
-def test_attacker_roundtrip_is_bit_exact_and_checks_kind(tmp_path):
-    heads = {**make_head(gender_spec(), seed=1, role="attacker"), **make_head(age_spec(), seed=2, role="attacker")}
-    path = str(tmp_path / "attacker.bin")
-    adv.save_attacker(path, heads, {"fold": 3})
-    loaded, meta = adv.load_attacker(path)
-    assert meta == {"kind": "attacker", "fold": 3}
-    assert sorted(loaded) == sorted(heads)
-    for name, arr in heads.items():
-        assert loaded[name].tobytes() == arr.tobytes()
-    adv.save_checkpoint(str(tmp_path / "model.ckpt"), small_model(), {})
-    with pytest.raises(DataError):
-        adv.load_attacker(str(tmp_path / "model.ckpt"))
-
-
 def test_checkpoint_missing_array_fails_with_data_error(tmp_path):
     arrays = dict(small_model())
     del arrays["enc.mu_b"]
@@ -348,15 +334,3 @@ def test_checkpoint_with_shapes_that_do_not_fit_fails_with_data_error(tmp_path, 
     adv.save_checkpoint(path, model, {})
     with pytest.raises(DataError, match=name):
         adv.load_checkpoint(path)
-
-
-def test_attacker_file_with_missing_or_misshapen_arrays_fails_with_data_error(tmp_path):
-    path = str(tmp_path / "attacker.bin")
-    heads = {**make_head(gender_spec(), seed=1, role="attacker"), **make_head(age_spec(), seed=2, role="attacker")}
-    adv.save_attacker(path, {**heads, "attacker.age.out_b": np.zeros(2)}, {})
-    with pytest.raises(DataError, match="attacker.age.out_b"):
-        adv.load_attacker(path)
-    del heads["attacker.gender.hidden_b"]
-    adv.save_attacker(path, heads, {})
-    with pytest.raises(DataError, match="attacker.gender.hidden_b"):
-        adv.load_attacker(path)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from advrec.cli import main
-from advrec.container import MAGIC, load_container
+from advrec.container import MAGIC, load_container, save_container
 from advrec.synthetic import planted_dataset
 
 
@@ -308,6 +308,54 @@ def test_export_embeddings_squashes_as_the_loaded_attacker_was_trained(workspace
     with open(run_dir / "embeddings.tsv", newline="") as fh:
         exported = [float(row["pred_age"]) for row in csv.DictReader(fh, delimiter="\t")]
     assert np.array_equal(exported, scores["pred_age"])
+
+
+def test_export_embeddings_writes_what_the_attack_measured(workspace):
+    tmp_path, config = workspace
+    assert main(["preprocess", "--config", str(config)]) == 0
+    assert main(["train", "--config", str(config)]) == 0
+    assert main(["attack", "--config", str(config)]) == 0
+    # a retrained checkpoint does not change what the attack measured
+    assert main(["train", "--config", str(config), "--seed", "9"]) == 0
+    assert main(["export-embeddings", "--config", str(config)]) == 0
+    run_dir = tmp_path / "runs" / "MultVAE" / "fold0"
+    scores, _ = load_container(str(run_dir / "attack_scores.bin"))
+    with open(run_dir / "embeddings.tsv", newline="") as fh:
+        rows = list(csv.DictReader(fh, delimiter="\t"))
+    mu = np.array([[float(row[f"z{i}"]) for i in range(scores["mu"].shape[1])] for row in rows])
+    assert mu.tobytes() == scores["mu"].tobytes()
+    assert [int(row["pred_gender"]) for row in rows] == scores["pred_gender"].tolist()
+    assert np.array([float(row["pred_age"]) for row in rows]).tobytes() == scores["pred_age"].tobytes()
+
+
+def _without_attack_scores(run_dir, config):
+    (run_dir / "attack_scores.bin").unlink()
+
+
+def _attack_on_other_test_users(run_dir, config):
+    assert main(["attack", "--config", str(config), "--seed", "5"]) == 0
+
+
+def _attack_scores_without_mu(run_dir, config):
+    path = str(run_dir / "attack_scores.bin")
+    scores, meta = load_container(path)
+    del scores["mu"], meta["n_items"]
+    save_container(path, scores, meta)
+
+
+@pytest.mark.parametrize("spoil", [_without_attack_scores, _attack_on_other_test_users, _attack_scores_without_mu],
+                         ids=lambda spoil: spoil.__name__.strip("_"))
+def test_export_embeddings_needs_the_attack_record_of_this_fold(workspace, capsys, spoil):
+    tmp_path, config = workspace
+    assert main(["preprocess", "--config", str(config)]) == 0
+    assert main(["train", "--config", str(config)]) == 0
+    assert main(["attack", "--config", str(config)]) == 0
+    run_dir = tmp_path / "runs" / "MultVAE" / "fold0"
+    spoil(run_dir, config)
+    capsys.readouterr()
+    assert main(["export-embeddings", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert str(run_dir / "attack_scores.bin") in err and "run the attack command" in err
 
 
 def test_commands_reject_a_checkpoint_for_another_catalog(workspace, capsys):

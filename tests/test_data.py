@@ -525,10 +525,30 @@ def _repeated_item(arrays, meta):
     arrays["indices"][start + 1] = arrays["indices"][start]
 
 
+def _first_entry(label, name, value, dtype=None):
+    """A corruption named ``label`` that sets the first entry of array ``name``,
+    cast to ``dtype``, to ``value``, or to ``value(meta)`` when it is callable."""
+    def corrupt(arrays, meta):
+        arrays[name] = arrays[name].astype(dtype or arrays[name].dtype)  # a copy
+        arrays[name][0] = value(meta) if callable(value) else value
+    corrupt.__name__ = label
+    return corrupt
+
+
 @pytest.mark.parametrize("corrupt", [
     _truncated_indptr, _index_past_the_catalog, _short_gender, _decreasing_indptr,
     _indptr_short_of_indices, _negative_index, _float_indices, _short_age, _missing_item_ids,
     _missing_indices, _reversed_row, _repeated_item,
+    _first_entry("_negative_gender", "gender", -1),
+    _first_entry("_gender_7", "gender", 7),
+    _first_entry("_gender_past_the_labels", "gender", lambda meta: len(meta["gender_labels"])),
+    _first_entry("_float_gender", "gender", 1, np.float64),
+    _first_entry("_nan_age", "age_normalized", np.nan),
+    _first_entry("_age_past_one", "age_normalized", 1.5),
+    _first_entry("_negative_age", "age_normalized", -0.25),
+    _first_entry("_infinite_age_raw", "age_raw", np.inf),
+    _first_entry("_age_raw_past_the_cap", "age_raw", lambda meta: meta["age_cap"] * 1.5),
+    _first_entry("_int_age_raw", "age_raw", 30, np.int64),
 ])
 def test_load_cache_rejects_inconsistent_caches(tmp_path, corrupt):
     from advrec.synthetic import planted_dataset
@@ -561,8 +581,10 @@ def _entry_edit(edit):
     _entry_edit(lambda entry: entry.update(nbytes=entry["nbytes"] + 8)),
     _entry_edit(lambda entry: entry.update(shape="3")),
     _entry_edit(lambda entry: entry.update(offset=-8)),
+    _entry_edit(lambda entry: entry.update(offset=8)),
+    _entry_edit(lambda entry: entry.update(shape=[1 << 40], nbytes=8 << 40)),
 ], ids=["not-json", "not-utf8", "json-list", "no-arrays", "no-offset", "dtype-f4", "dtype-list",
-        "nbytes-off", "shape-text", "negative-offset"])
+        "nbytes-off", "shape-text", "negative-offset", "past-the-end", "larger-than-the-file"])
 def test_load_container_rejects_a_corrupt_header_naming_the_file(tmp_path, corrupt):
     path = tmp_path / "corrupt.bin"
     save_container(str(path), {"w": np.arange(3.0)}, {"kind": "test"})
@@ -573,6 +595,23 @@ def test_load_container_rejects_a_corrupt_header_naming_the_file(tmp_path, corru
     path.write_bytes(MAGIC + len(header).to_bytes(8, "little") + header + raw[end:])
     with pytest.raises(DataError, match="corrupt.bin"):
         load_container(str(path))
+
+
+def test_container_payload_is_each_array_in_c_order_by_name(tmp_path):
+    arrays = {"b": np.arange(6.0).reshape(2, 3).T, "a": np.array([True, False]), "c": np.zeros((0, 4)),
+              "d": np.array([[-5]]), "e": np.arange(7)[::2]}
+    path = tmp_path / "layout.bin"
+    save_container(str(path), arrays, {"kind": "test"})
+    raw = path.read_bytes()
+    start = len(MAGIC) + 8
+    end = start + int.from_bytes(raw[len(MAGIC):start], "little")
+    assert raw[end:] == b"".join(np.ascontiguousarray(arrays[name]).tobytes() for name in sorted(arrays))
+    loaded, meta = load_container(str(path))
+    assert meta == {"kind": "test"} and sorted(loaded) == sorted(arrays)
+    for name, arr in arrays.items():
+        assert loaded[name].dtype == arr.dtype and loaded[name].shape == arr.shape
+        assert loaded[name].tobytes() == arr.tobytes()
+        assert loaded[name].flags.c_contiguous and loaded[name].flags.writeable
 
 
 @pytest.mark.parametrize("target, content", [
