@@ -201,7 +201,7 @@ def total_objective(
     beta: float,
     rng: np.random.Generator,
     training: bool = True,
-    dropout_keep: float = 0.5,
+    dropout_keep: float = mv.DROPOUT_KEEP,
 ) -> tuple[ObjectiveParts, Tape, dict[str, Tensor]]:
     """Joint objective: recommender loss plus the reversed losses of the
     heads in ``specs``.
@@ -295,25 +295,3 @@ def load_checkpoint(path: str) -> tuple[Params, dict]:
     layouts = {"enc": mv.ENCODER, "dec": mv.DECODER, **{f"head.{h}": HEAD for h in meta.get("head_names", [])}}
     return checked_params(path, arrays, layouts), meta.get("config", {})
 
-
-ATTACKER_KIND = "attacker"
-
-
-def save_attacker(path: str, attackers: dict[str, Array], meta: dict) -> None:
-    save_container(path, {name: np.asarray(arr) for name, arr in attackers.items()},
-                   {"kind": ATTACKER_KIND, **meta})
-
-
-def specs_meta(specs: list[AttributeSpec]) -> list[dict]:
-    """JSON-ready description of attribute specs for file headers."""
-    return [
-        {
-            "name": s.name,
-            "kind": s.kind,
-            "n_classes": s.n_classes,
-            "lambda": s.lam,
-            "squash": s.squash,
-            "class_weights": None if s.class_weights is None else list(map(float, s.class_weights)),
-        }
-        for s in specs
-    ]

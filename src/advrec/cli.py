@@ -88,7 +88,7 @@ class FoldRun:
         fold_index = config["train.fold"]
         if not 0 <= fold_index < len(splits):
             raise ConfigError(f"train.fold={fold_index} outside 0..{len(splits) - 1}")
-        fold = dp.prepare_fold(dataset, splits[fold_index], train.holdout_ratio, train.data_seed)
+        fold = dp.prepare_fold(dataset, splits[fold_index], dp.HOLDOUT_RATIO, train.data_seed)
         label = tr.model_label(train.lambdas)
         return cls(config, dataset, attrs, fold, train, label,
                    os.path.join(config["out.dir"], label, f"fold{fold_index}"))
@@ -97,15 +97,22 @@ class FoldRun:
         return tr.build_specs(self.attrs, self.train.lambdas, self.fold.split.train, self.train.continuous_head)
 
     def model(self) -> adv.Params:
-        """The run's checkpoint, once it fits the dataset's catalog."""
+        """The run's checkpoint, once it fits the dataset's catalog and was
+        trained with the run's lambdas on the run's data seed, which fixes
+        the test users. The attack's own settings may differ from training's."""
         path = os.path.join(self.out_dir, "checkpoint.bin")
         if not os.path.exists(path):
             raise DataError(f"no checkpoint at {path!r}; run the train command first")
-        model, _ = adv.load_checkpoint(path)
+        model, trained = adv.load_checkpoint(path)
         if model["enc.hidden_w"].shape[0] != self.dataset.n_items:
             raise DataError(
                 f"checkpoint expects {model['enc.hidden_w'].shape[0]} items, dataset has {self.dataset.n_items}"
             )
+        wanted = self.train.to_meta()
+        for key in ("lambdas", "data_seed"):
+            if trained.get(key) != wanted[key]:
+                raise DataError(f"{path} was trained with {key} {trained.get(key)}, this run has {wanted[key]}; "
+                                "run the train command with this run's settings")
         return model
 
     def write_result(self, name: str, metrics: dict) -> dict:
@@ -123,7 +130,6 @@ def cmd_preprocess(config: dict) -> int:
     for key, ok, bound in [
         ("data.k_core", config["data.k_core"] >= 1, ">= 1"),
         ("data.item_subsample", config["data.item_subsample"] >= 0, ">= 0"),
-        ("data.subsample_seed", config["data.subsample_seed"] >= 0, ">= 0"),
         ("data.age_cap", 0.0 < config["data.age_cap"] < float("inf"), "finite and > 0"),
     ]:
         if not ok:
@@ -134,9 +140,7 @@ def cmd_preprocess(config: dict) -> int:
     dataset, attrs, ingest = dp.load_interactions(interactions, demographics, config["data.age_cap"])
     steps = {"k_core": config["data.k_core"]}
     if config["data.item_subsample"]:
-        dataset, keep_users, _ = dp.item_subsample(
-            dataset, config["data.item_subsample"], config["data.subsample_seed"]
-        )
+        dataset, keep_users, _ = dp.item_subsample(dataset, config["data.item_subsample"], dp.SUBSAMPLE_SEED)
         attrs = attrs.subset(keep_users)
         steps["item_subsample"] = config["data.item_subsample"]
     n_users, n_items = dataset.n_users, dataset.n_items
@@ -177,14 +181,7 @@ def cmd_train(config: dict) -> int:
 
 def cmd_attack(config: dict) -> int:
     run = FoldRun.of(config)
-    model = run.model()
-    specs = run.specs()
-    result = tr.train_attack_phase(model, run.dataset, run.attrs, specs, run.fold, run.train)
-    adv.save_attacker(
-        os.path.join(run.out_dir, "attacker.bin"),
-        result.heads,
-        {"model": run.label, "fold": run.fold.index, "attributes": adv.specs_meta(specs)},
-    )
+    result = tr.train_attack_phase(run.model(), run.dataset, run.attrs, run.specs(), run.fold, run.train)
     save_container(
         os.path.join(run.out_dir, "attack_scores.bin"), {**result.per_user, "mu": result.latents},
         {"kind": "attack-scores", "model": run.label, "fold": run.fold.index, "n_items": run.dataset.n_items},
@@ -214,10 +211,7 @@ def cmd_grid(config: dict, workers: int) -> int:
     train_config = units[0]  # the units differ only in their lambdas
     dataset, attrs = load_dataset(config)
     splits = dp.make_folds(dataset.n_users, train_config.data_seed, config["train.n_folds"])
-    folds = [
-        dp.prepare_fold(dataset, split, train_config.holdout_ratio, train_config.data_seed)
-        for split in splits
-    ]
+    folds = [dp.prepare_fold(dataset, split, dp.HOLDOUT_RATIO, train_config.data_seed) for split in splits]
     log.info("grid: %d combinations x %d folds, %d workers", len(units), len(folds), workers)
     outcome = tr.grid_search(
         dataset, attrs, units, folds, dataset_name=config["data.name"], workers=workers

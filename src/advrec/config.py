@@ -39,7 +39,6 @@ SCHEMA = {
     "data.k_core": (int, 5),
     "data.age_cap": (float, 60.0),
     "data.item_subsample": (int, 0),
-    "data.subsample_seed": (int, 0),
     # cast by the type of the default
     **{f"train.{f.name}": (type(f.default), f.default) for f in TRAIN_FIELDS},
     "train.fold": (int, 0),

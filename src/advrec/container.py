@@ -48,7 +48,7 @@ def save_container(path: str, arrays: dict[str, np.ndarray], meta: dict | None =
     contiguous = []
     offset = 0
     for name in sorted(arrays):
-        arr = np.ascontiguousarray(arrays[name])
+        arr = np.asarray(arrays[name], order="C")  # unlike ascontiguousarray, keeps a 0-d shape
         dtype = arr.dtype.str
         if dtype not in _ALLOWED_DTYPES:
             raise DataError(f"container does not store dtype {dtype} (array {name!r})")

@@ -303,6 +303,9 @@ def k_core_filter(dataset: InteractionDataset, k: int):
         user_alive, item_alive = new_user_alive, new_item_alive
 
 
+SUBSAMPLE_SEED = 0  # the seed with which preprocess subsamples items
+
+
 def item_subsample(dataset: InteractionDataset, n_target: int, seed: int):
     """Uniform random subset of items (users with no remaining items drop)."""
     if n_target >= dataset.n_items:
@@ -336,6 +339,9 @@ def make_folds(user_count: int, seed: int, n_folds: int = 5) -> list[FoldSplit]:
             )
         )
     return folds
+
+
+HOLDOUT_RATIO = 0.2  # share of each validation or test user's items held out for ranking
 
 
 def holdout_split(user_row: np.ndarray, ratio: float, rng: np.random.Generator):

@@ -179,9 +179,8 @@ def wilcoxon_signed_rank(scores_a, scores_b) -> TestResult:
         p = _wilcoxon_exact_p(ranks, statistic)
         return TestResult(statistic=float(statistic), p_value=p, significant=p <= ALPHA)
     mean = n * (n + 1) / 4.0
+    # the tie term is at most n^3 - n (every |difference| tied), so var >= n(n+1)^2/16 > 0
     var = n * (n + 1) * (2 * n + 1) / 24.0 - tie_term / 48.0
-    if var <= 0:
-        return TestResult(statistic=statistic, p_value=1.0, significant=False, degenerate=True)
     z = (statistic - mean + 0.5) / math.sqrt(var)
     p = min(1.0, 2.0 * _normal_cdf(z))
     return TestResult(statistic=float(statistic), p_value=p, significant=p <= ALPHA)

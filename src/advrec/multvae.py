@@ -38,6 +38,8 @@ DECODER = {
     "out_b": ("items",),
 }
 
+DROPOUT_KEEP = 0.5  # training keeps each input entry with this probability (Liang et al., WWW 2018)
+
 
 @dataclass
 class LatentState:
@@ -180,7 +182,7 @@ def multvae_loss(
     beta: float,
     rng: np.random.Generator | None,
     training: bool = True,
-    dropout_keep: float = 0.5,
+    dropout_keep: float = DROPOUT_KEEP,
 ) -> tuple[Tensor, LossParts]:
     """Reconstruction NLL plus ``beta`` times the KL term, to be minimized."""
     if beta < 0:

@@ -124,9 +124,7 @@ class TrainConfig:
     d_hidden: int = 600
     d_latent: int = 200
     d_adv_hidden: int = 128
-    dropout_keep: float = 0.5
     continuous_head: str = "sigmoid"  # "sigmoid" or "linear" output for continuous heads
-    holdout_ratio: float = 0.2
     val_every: int = 1
     selection: str = "best"  # "best" (validation NDCG@10) or "final"
     model_seed: int = 0
@@ -144,8 +142,6 @@ class TrainConfig:
             ("lr", 0.0 < self.lr < np.inf, "finite and > 0"),
             ("d_hidden", self.d_hidden >= 1, ">= 1"),
             ("d_latent", self.d_latent >= 1, ">= 1"),
-            ("dropout_keep", 0.0 < self.dropout_keep <= 1.0, "in (0, 1]"),
-            ("holdout_ratio", 0.0 < self.holdout_ratio < 1.0, "in (0, 1)"),
             ("d_adv_hidden", self.d_adv_hidden >= 1, ">= 1"),
             ("anneal_steps", self.anneal_steps >= 0, ">= 0"),
             ("val_every", self.val_every >= 0, ">= 0"),
@@ -339,7 +335,6 @@ def train_adversarial_phase(
             beta,
             model_rng,
             training=True,
-            dropout_keep=config.dropout_keep,
         )
         named = {"mult": parts.mult, "nll": parts.nll, "kl": parts.kl}
         named.update({f"adv_{name}": tensor for name, tensor in parts.adv.items()})
@@ -374,7 +369,6 @@ def train_adversarial_phase(
 
 @dataclass
 class AttackResult:
-    heads: adv.Params
     metrics: dict
     per_user: dict
     log: list
@@ -434,7 +428,7 @@ def train_attack_phase(
         else:
             metrics[f"mae_{spec.name}"] = ev.mae_metric(pred, truth)
             per_user[f"abs_err_{spec.name}"] = np.abs(pred - truth)
-    return AttackResult(heads=heads, metrics=metrics, per_user=per_user, log=log, latents=latents_test)
+    return AttackResult(metrics=metrics, per_user=per_user, log=log, latents=latents_test)
 
 
 @dataclass

@@ -599,7 +599,7 @@ def test_load_container_rejects_a_corrupt_header_naming_the_file(tmp_path, corru
 
 def test_container_payload_is_each_array_in_c_order_by_name(tmp_path):
     arrays = {"b": np.arange(6.0).reshape(2, 3).T, "a": np.array([True, False]), "c": np.zeros((0, 4)),
-              "d": np.array([[-5]]), "e": np.arange(7)[::2]}
+              "d": np.array([[-5]]), "e": np.arange(7)[::2], "f": np.array(5.0)}
     path = tmp_path / "layout.bin"
     save_container(str(path), arrays, {"kind": "test"})
     raw = path.read_bytes()

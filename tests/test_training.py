@@ -8,7 +8,7 @@ from advrec import adversarial as adv
 from advrec import config as cf
 from advrec import multvae as mv
 from advrec import training as tr
-from advrec.data import make_folds, prepare_fold
+from advrec.data import HOLDOUT_RATIO, make_folds, prepare_fold
 from advrec.errors import ConfigError, ContractError, TrainingDiverged
 from advrec.synthetic import planted_dataset
 
@@ -29,7 +29,7 @@ def tiny_setup(n_users=100, n_items=40, seed=0, **config_kw):
     defaults.update(config_kw)
     config = tr.TrainConfig(**defaults)
     folds = make_folds(dataset.n_users, seed=11)
-    fold = prepare_fold(dataset, folds[0], config.holdout_ratio, config.data_seed)
+    fold = prepare_fold(dataset, folds[0], HOLDOUT_RATIO, config.data_seed)
     return dataset, attrs, fold, config
 
 
@@ -326,7 +326,7 @@ def test_users_with_fewer_than_ten_rankable_items_do_not_fail_the_run():
     dataset, attrs = planted_dataset(n_users=80, n_items=14, seed=3, items_low=4, items_high=9)
     config = tr.TrainConfig(epochs_adversarial=2, epochs_attack=2, batch_size=32, d_hidden=8, d_latent=4,
                             d_adv_hidden=4, anneal_steps=10, val_every=1, lambdas={"gender": 1.0})
-    fold = prepare_fold(dataset, make_folds(dataset.n_users, seed=11)[0], config.holdout_ratio, config.data_seed)
+    fold = prepare_fold(dataset, make_folds(dataset.n_users, seed=11)[0], HOLDOUT_RATIO, config.data_seed)
     assert max(len(f) for f in fold.val_foldin + fold.test_foldin) > dataset.n_items - 10
     record = tr.run_single(dataset, attrs, fold, config)
     assert 0.0 < record.metrics["ndcg@10"] <= 1.0
@@ -378,7 +378,7 @@ def test_grid_search_rejects_a_grid_without_units():
 def test_grid_row_count_and_single_point_equivalence():
     dataset, attrs, _, config = tiny_setup(epochs_adversarial=2, epochs_attack=2)
     folds = [
-        prepare_fold(dataset, split, config.holdout_ratio, config.data_seed)
+        prepare_fold(dataset, split, HOLDOUT_RATIO, config.data_seed)
         for split in make_folds(dataset.n_users, seed=11)[:2]
     ]
     outcome = tr.grid_search(
@@ -405,7 +405,7 @@ def test_grid_row_count_and_single_point_equivalence():
 def test_grid_records_do_not_depend_on_worker_count():
     dataset, attrs, _, config = tiny_setup(epochs_adversarial=2, epochs_attack=2)
     folds = [prepare_fold(dataset, make_folds(dataset.n_users, seed=11)[0],
-                          config.holdout_ratio, config.data_seed)]
+                          HOLDOUT_RATIO, config.data_seed)]
     grid = units(config, {"gender": 0.0, "age": 10.0}, {"gender": 50.0, "age": 10.0})
     serial = tr.grid_search(dataset, attrs, grid, folds, workers=1)
     pooled = tr.grid_search(dataset, attrs, grid, folds, workers=2)
@@ -428,7 +428,7 @@ def test_grid_records_hold_no_parameter_store():
 def test_grid_results_do_not_depend_on_combination_order():
     dataset, attrs, _, config = tiny_setup(epochs_adversarial=2, epochs_attack=2)
     folds = [prepare_fold(dataset, make_folds(dataset.n_users, seed=11)[0],
-                          config.holdout_ratio, config.data_seed)]
+                          HOLDOUT_RATIO, config.data_seed)]
     forward = tr.grid_search(dataset, attrs, units(config, {"gender": 0.0}, {"gender": 50.0}), folds)
     backward = tr.grid_search(dataset, attrs, units(config, {"gender": 50.0}, {"gender": 0.0}), folds)
     rows_fwd = sorted(str(sorted(r.result_row().items())) for r in forward.records)
@@ -439,7 +439,7 @@ def test_grid_results_do_not_depend_on_combination_order():
 def test_grid_records_failures_and_continues(monkeypatch):
     dataset, attrs, _, config = tiny_setup(epochs_adversarial=1, epochs_attack=1)
     folds = [prepare_fold(dataset, make_folds(dataset.n_users, seed=11)[0],
-                          config.holdout_ratio, config.data_seed)]
+                          HOLDOUT_RATIO, config.data_seed)]
     original = tr.run_single
 
     def flaky(ds, at, fold, cfg, dataset_name="synthetic"):
@@ -457,7 +457,7 @@ def test_grid_records_failures_and_continues(monkeypatch):
 def test_grid_summary_pairs_users_only_within_folds_both_combinations_completed():
     dataset, attrs, _, config = tiny_setup(n_users=300, epochs_adversarial=2, epochs_attack=2)
     folds = [
-        prepare_fold(dataset, split, config.holdout_ratio, config.data_seed)
+        prepare_fold(dataset, split, HOLDOUT_RATIO, config.data_seed)
         for split in make_folds(dataset.n_users, seed=11)[:2]
     ]
 
