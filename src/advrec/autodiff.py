@@ -10,10 +10,10 @@ points.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ConfigError, ContractError, DimensionError, GradientCheckError
 
@@ -174,8 +174,23 @@ def tanh(x: Tensor) -> Tensor:
     return result_of((x,), y, grad_fn, name="tanh")
 
 
+def _expit(v: float) -> float:
+    try:
+        return 1.0 / (1.0 + math.exp(-v))
+    except OverflowError:  # v below about -709.78: exp(-v) is inf, and 1 / inf is 0
+        return 0.0
+
+
 def sigmoid(x: Tensor) -> Tensor:
-    y = expit(x.data)
+    """Logistic function, bit-identical to ``scipy.special.expit``.
+
+    Each element is ``1 / (1 + exp(-v))`` with libm's ``exp``, as ``expit``
+    computes it. numpy's SIMD ``np.exp`` rounds some inputs differently, and
+    importing scipy.special costs every process a quarter second and 20 MB.
+    The loop is in Python, which is cheap for its callers: the continuous
+    heads' (rows, 1) outputs.
+    """
+    y = np.fromiter(map(_expit, x.data.ravel().tolist()), np.float64, x.data.size).reshape(x.data.shape)
 
     def grad_fn(g: Array) -> None:
         accumulate(x, y * (1.0 - y) * g)

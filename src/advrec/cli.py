@@ -260,11 +260,13 @@ def cmd_export_embeddings(config: dict) -> int:
     def cell(spec, value) -> str:
         return str(int(value)) if spec.kind == adv.CATEGORICAL else f"{value:.17g}"
 
-    header = ["user_id"] + [f"z{i}" for i in range(scores["mu"].shape[1])]
+    d_latent = scores["mu"].shape[1]
+    header = ["user_id"] + [f"z{i}" for i in range(d_latent)]
     header += [f"pred_{spec.name}" for spec in specs] + [f"true_{spec.name}" for spec in specs]
     lines = ["\t".join(header)]
-    for i, user in enumerate(test_users):
-        parts = [run.dataset.user_ids[user]] + [f"{value:.17g}" for value in scores["mu"][i]]
+    mu_format = "\t".join(["%.17g"] * d_latent)
+    for i, (user, mu) in enumerate(zip(test_users, scores["mu"].tolist(), strict=True)):
+        parts = [run.dataset.user_ids[user], mu_format % tuple(mu)]
         parts += [cell(spec, scores[f"pred_{spec.name}"][i]) for spec in specs]
         parts += [cell(spec, targets[spec.name][user]) for spec in specs]
         lines.append("\t".join(parts))

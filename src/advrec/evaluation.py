@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc
 
 from .container import atomic_open
 from .errors import ConfigError, ContractError, DataError
@@ -211,6 +210,8 @@ def paired_t_test(errors_a, errors_b) -> TestResult:
         p = 1.0 if d.mean() == 0.0 else 0.0
         return TestResult(statistic=0.0 if d.mean() == 0.0 else math.inf, p_value=p,
                           significant=p <= ALPHA, degenerate=True)
+    from scipy.special import betainc  # here, so that only a t-test pays scipy's import
+
     t = d.mean() / (sd / math.sqrt(n))
     dof = n - 1
     p = float(betainc(dof / 2.0, 0.5, dof / (dof + t * t)))

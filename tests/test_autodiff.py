@@ -1,4 +1,5 @@
 import gc
+import warnings
 import weakref
 
 import numpy as np
@@ -56,6 +57,25 @@ def test_tanh_values_and_gradient():
     g = grads[x]
     assert abs(g[0] - 1.0) < 1e-12  # tanh'(0) = 1
     assert np.isfinite(g[1]) and abs(g[1]) < 1e-12  # saturated
+
+
+@pytest.mark.parametrize("n", [0, 1, 5000])
+def test_sigmoid_matches_scipy_expit_bit_for_bit(n):
+    from scipy.special import expit
+
+    rng = np.random.default_rng(n)
+    draws = [rng.standard_normal(n) * scale for scale in (1e-8, 1e-4, 1.0, 10.0, 40.0, 300.0)]
+    edges = [0.0, -0.0, -709.78, -709.7827, -709.7828, -709.79, 709.79, 745.0, -745.0, 746.0, -746.0,
+             np.inf, -np.inf, np.nan]
+    x = np.concatenate(draws + [np.array(edges if n else [])])[:, None]
+    with np.errstate(all="ignore"):
+        want = expit(x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = ad.sigmoid(ad.Tape().constant(x)).data
+    assert got.shape == x.shape == (len(x), 1)
+    assert got.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
 
 
 def test_grl_forward_is_identity_bitwise():

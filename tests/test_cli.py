@@ -8,6 +8,7 @@ import pytest
 
 from advrec.cli import main
 from advrec.container import MAGIC, load_container, save_container
+from advrec.data import load_cache
 from advrec.synthetic import planted_dataset
 
 
@@ -327,6 +328,36 @@ def test_export_embeddings_writes_what_the_attack_measured(workspace):
     assert np.array([float(row["pred_age"]) for row in rows]).tobytes() == scores["pred_age"].tobytes()
 
 
+def test_export_embeddings_formats_each_value_as_repr_precision_text(workspace):
+    tmp_path, config = workspace
+    assert main(["preprocess", "--config", str(config)]) == 0
+    assert main(["train", "--config", str(config)]) == 0
+    assert main(["attack", "--config", str(config)]) == 0
+    run_dir = tmp_path / "runs" / "MultVAE" / "fold0"
+    path = str(run_dir / "attack_scores.bin")
+    scores, meta = load_container(path)
+    special = [-0.0, 0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e300, -1e300, 0.1, 1 / 3, -7.0, 123456789.0]
+    mu = np.resize(np.array(special), scores["mu"].size).reshape(scores["mu"].shape)
+    mu[1::2] *= np.random.default_rng(0).standard_normal(mu[1::2].shape)
+    scores["mu"] = mu
+    scores["pred_age"] = np.resize(np.array(special[:4]), scores["pred_age"].shape)
+    save_container(path, scores, meta)
+    assert main(["export-embeddings", "--config", str(config)]) == 0
+
+    dataset, attrs, _ = load_cache(str(tmp_path / "tiny.cache"))
+    targets = attrs.targets()
+    d = mu.shape[1]
+    lines = ["\t".join(["user_id"] + [f"z{i}" for i in range(d)] + ["pred_gender", "pred_age", "true_gender", "true_age"])]
+    for i, user in enumerate(scores["test_users"]):
+        parts = [dataset.user_ids[user]] + [f"{value:.17g}" for value in mu[i]]
+        parts += [str(int(scores["pred_gender"][i])), f"{scores['pred_age'][i]:.17g}"]
+        parts += [str(int(targets["gender"][user])), f"{targets['age'][user]:.17g}"]
+        lines.append("\t".join(parts))
+    exported = (run_dir / "embeddings.tsv").read_text()
+    assert exported == "\n".join(lines) + "\n"
+    assert "\t-0\t" in exported and "\t4.9406564584124654e-324\t" in exported and "\t-1.0000000000000001e+300" in exported
+
+
 def _without_attack_scores(run_dir, config):
     (run_dir / "attack_scores.bin").unlink()
 
@@ -467,10 +498,32 @@ def test_console_script_entry_point(workspace):
     assert "cache written" in result.stdout
 
 
-def test_importing_the_cli_leaves_scipy_stats_unloaded():
-    # scipy.stats adds tens of MB to every process, grid workers included
-    code = "import sys, advrec.cli; sys.exit('scipy.stats' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+SCIPY_LOADED = "sys.exit(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')) or None)"
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # scipy.special alone adds a quarter second and 20 MB to every process, grid workers included
+    result = subprocess.run([sys.executable, "-c", "import sys, advrec.cli\n" + SCIPY_LOADED],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+
+
+def test_a_run_with_both_removal_heads_loads_no_scipy():
+    # the sigmoid of the continuous heads computes expit without scipy.special
+    code = """
+import sys
+from advrec import training as tr
+from advrec.data import HOLDOUT_RATIO, make_folds, prepare_fold
+from advrec.synthetic import planted_dataset
+dataset, attrs = planted_dataset(120, 30, seed=0, items_low=4, items_high=12)
+config = tr.TrainConfig(epochs_adversarial=2, epochs_attack=2, d_hidden=8, d_latent=4, d_adv_hidden=4,
+                        lambdas={"gender": 400.0, "age": 400.0}, continuous_head="sigmoid")
+fold = prepare_fold(dataset, make_folds(120, config.data_seed, 2)[0], HOLDOUT_RATIO, config.data_seed)
+record = tr.run_single(dataset, attrs, fold, config)
+assert "mae_age" in record.metrics and "bacc_gender" in record.metrics
+""" + SCIPY_LOADED
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 def test_a_grid_and_its_summary_leave_scipy_stats_unloaded():
