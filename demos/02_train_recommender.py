@@ -20,7 +20,7 @@ config = tr.TrainConfig(
     val_every=3, selection="best", lambdas={},
 )
 fold = prepare_fold(dataset, make_folds(dataset.n_users, seed=5)[0], 0.2, config.data_seed)
-result = tr.train_adversarial_phase(dataset, attrs, [], fold, config)
+result = tr.train_adversarial_phase(dataset, attrs, fold, config)
 
 print("\nepoch  loss     kl      val_ndcg@10")
 for entry in result.log:

@@ -7,11 +7,13 @@ encoder while the head itself keeps learning to predict it. The attack
 phase reuses the same architecture, freshly initialized, on the frozen
 encoder's latent means.
 
-All parameters live in one flat store (:class:`Params`): ``enc.<field>``
-and ``dec.<field>`` for the recommender, ``head.<attr>.<field>`` for its
-removal heads and ``attacker.<attr>.<field>`` for attackers, with fields
-as ``multvae.ENCODER``, ``multvae.DECODER`` and ``HEAD`` lay them out.
-This module owns those names and the checkpoint files.
+A model's parameters live in a :class:`Params` store: ``enc.<field>`` and
+``dec.<field>`` for the recommender, ``head.<attr>.<field>`` for its removal
+heads, with fields as ``multvae.ENCODER``, ``multvae.DECODER`` and ``HEAD``
+lay them out; the attack phase keeps its heads, named alike, in a store of
+their own. This module owns those names and the checkpoint files. As in
+:mod:`multvae`, the joint objective trains given an ``rng`` and evaluates
+without one.
 """
 
 from __future__ import annotations
@@ -86,19 +88,17 @@ HEAD = {
 }
 
 
-def init_heads(
-    role: str, specs: list[AttributeSpec], d_latent: int, d_adv_hidden: int, rng: np.random.Generator
-) -> Params:
-    """One head per spec, named ``<role>.<attr>.<field>``, drawn in spec order."""
+def init_heads(specs: list[AttributeSpec], d_latent: int, d_adv_hidden: int, rng: np.random.Generator) -> Params:
+    """One head per spec, named ``head.<attr>.<field>``, drawn in spec order."""
     params = Params()
     for spec in specs:
         sizes = {"latent": d_latent, "hidden": d_adv_hidden, "out": spec.out_dim}
-        params.update(mv.init_layout(f"{role}.{spec.name}", HEAD, sizes, rng))
+        params.update(mv.init_layout(f"head.{spec.name}", HEAD, sizes, rng))
     return params
 
 
-def adv_forward(z: Tensor, params: dict[str, Tensor], spec: AttributeSpec, role: str = "head") -> Tensor:
-    """Predict an attribute from ``z`` with the ``<role>.<attr>.*`` tensors.
+def adv_forward(z: Tensor, params: dict[str, Tensor], spec: AttributeSpec) -> Tensor:
+    """Predict an attribute from ``z`` with the ``head.<attr>.*`` tensors.
 
     ``z`` passes through gradient reversal at the attribute's scale first.
     Reversal acts only on gradients, so on a constant ``z``, as the attacker
@@ -106,7 +106,7 @@ def adv_forward(z: Tensor, params: dict[str, Tensor], spec: AttributeSpec, role:
     Categorical heads emit logits; continuous heads one value per row,
     sigmoid-squashed when ``spec.squash`` is set.
     """
-    prefix = f"{role}.{spec.name}"
+    prefix = f"head.{spec.name}"
     h = ad.tanh(ad.dense(ad.grl(z, spec.lam), params[f"{prefix}.hidden_w"], params[f"{prefix}.hidden_b"]))
     out = ad.dense(h, params[f"{prefix}.out_w"], params[f"{prefix}.out_b"])
     if spec.kind == CONTINUOUS and spec.squash:
@@ -167,7 +167,6 @@ def advx_loss(
     params: dict[str, Tensor],
     specs: list[AttributeSpec],
     targets: dict[str, Array],
-    role: str = "head",
 ) -> tuple[Tensor, dict[str, Tensor]]:
     """Sum of per-attribute head losses, each behind its own reversal scale."""
     if not specs:
@@ -177,7 +176,7 @@ def advx_loss(
     for spec in specs:
         if spec.name not in targets:
             raise DataError(f"no target column for attribute {spec.name!r}")
-        pred = adv_forward(z, params, spec, role)
+        pred = adv_forward(z, params, spec)
         loss_k = attribute_loss(pred, spec, targets[spec.name])
         per_attr[spec.name] = loss_k
         total = loss_k if total is None else ad.add(total, loss_k)
@@ -199,9 +198,7 @@ def total_objective(
     model: dict[str, Array],
     specs: list[AttributeSpec],
     beta: float,
-    rng: np.random.Generator,
-    training: bool = True,
-    dropout_keep: float = mv.DROPOUT_KEEP,
+    rng: np.random.Generator | None,
 ) -> tuple[ObjectiveParts, Tape, dict[str, Tensor]]:
     """Joint objective: recommender loss plus the reversed losses of the
     heads in ``specs``.
@@ -213,7 +210,7 @@ def total_objective(
     tape = Tape()
     graph = ("enc.", "dec.") + tuple(f"head.{spec.name}." for spec in specs)
     leaves = {name: tape.leaf(arr, name=name) for name, arr in model.items() if name.startswith(graph)}
-    mult, parts = mv.multvae_loss(x, leaves, beta, rng, training=training, dropout_keep=dropout_keep)
+    mult, parts = mv.multvae_loss(x, leaves, beta, rng)
     loss, adv_each = mult, {}
     if specs:
         adv_total, adv_each = advx_loss(parts.z, leaves, specs, targets)
@@ -232,7 +229,7 @@ def attacker_predictions(
     z = tape.constant(latents, name="latents")
     predictions = {}
     for spec in specs:
-        out = adv_forward(z, constants, spec, role="attacker").data
+        out = adv_forward(z, constants, spec).data
         predictions[spec.name] = out.argmax(axis=1) if spec.kind == CATEGORICAL else out.reshape(-1)
     return predictions
 
@@ -248,7 +245,7 @@ def attacker_loss_graph(
     tape = Tape()
     leaves = {name: tape.leaf(arr, name=name) for name, arr in attackers.items()}
     z = tape.constant(latents, name="latents")
-    total, per_attr = advx_loss(z, leaves, specs, targets, role="attacker")
+    total, per_attr = advx_loss(z, leaves, specs, targets)
     return total, per_attr, tape, leaves
 
 
@@ -292,6 +289,9 @@ def load_checkpoint(path: str) -> tuple[Params, dict]:
     arrays, meta = load_container(path)
     if meta.get("kind") != CHECKPOINT_KIND:
         raise DataError(f"{path}: not a model checkpoint")
-    layouts = {"enc": mv.ENCODER, "dec": mv.DECODER, **{f"head.{h}": HEAD for h in meta.get("head_names", [])}}
-    return checked_params(path, arrays, layouts), meta.get("config", {})
+    head_names, config = meta.get("head_names", []), meta.get("config", {})
+    if not (isinstance(head_names, list) and all(isinstance(h, str) for h in head_names) and isinstance(config, dict)):
+        raise DataError(f"{path}: checkpoint header needs a 'head_names' list of strings and a 'config' object")
+    layouts = {"enc": mv.ENCODER, "dec": mv.DECODER, **{f"head.{h}": HEAD for h in head_names}}
+    return checked_params(path, arrays, layouts), config
 

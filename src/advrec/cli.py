@@ -93,9 +93,6 @@ class FoldRun:
         return cls(config, dataset, attrs, fold, train, label,
                    os.path.join(config["out.dir"], label, f"fold{fold_index}"))
 
-    def specs(self) -> list[adv.AttributeSpec]:
-        return tr.build_specs(self.attrs, self.train.lambdas, self.fold.split.train, self.train.continuous_head)
-
     def model(self) -> adv.Params:
         """The run's checkpoint, once it fits the dataset's catalog and was
         trained with the run's lambdas on the run's data seed, which fixes
@@ -170,7 +167,7 @@ def cmd_preprocess(config: dict) -> int:
 def cmd_train(config: dict) -> int:
     run = FoldRun.of(config)
     log.info("training %s on fold %d (%d train users)", run.label, run.fold.index, len(run.fold.split.train))
-    result = tr.train_adversarial_phase(run.dataset, run.attrs, run.specs(), run.fold, run.train)
+    result = tr.train_adversarial_phase(run.dataset, run.attrs, run.fold, run.train)
     adv.save_checkpoint(os.path.join(run.out_dir, "checkpoint.bin"), result.params, run.train.to_meta())
     ev.write_rows_csv(os.path.join(run.out_dir, "train_log.csv"), result.log)
     write_manifest(run.out_dir, config, command="train", model=run.label, fold=run.fold.index,
@@ -181,7 +178,7 @@ def cmd_train(config: dict) -> int:
 
 def cmd_attack(config: dict) -> int:
     run = FoldRun.of(config)
-    result = tr.train_attack_phase(run.model(), run.dataset, run.attrs, run.specs(), run.fold, run.train)
+    result = tr.train_attack_phase(run.model(), run.dataset, run.attrs, run.fold, run.train)
     save_container(
         os.path.join(run.out_dir, "attack_scores.bin"), {**result.per_user, "mu": result.latents},
         {"kind": "attack-scores", "model": run.label, "fold": run.fold.index, "n_items": run.dataset.n_items},
@@ -220,9 +217,9 @@ def cmd_grid(config: dict, workers: int) -> int:
     if outcome.records:
         ev.write_rows_csv(os.path.join(grid_dir, "results.csv"), [r.result_row() for r in outcome.records])
     for record in outcome.records:
-        combo_label = "_".join(f"{name}{lam:g}" for name, lam in record.lambdas.items())
+        path = os.path.join(grid_dir, tr.combo_label(record.lambdas), f"fold{record.fold}", "user_scores.bin")
         save_container(
-            os.path.join(grid_dir, combo_label, f"fold{record.fold}", "user_scores.bin"), record.per_user,
+            path, record.per_user,
             {"kind": "user-scores", "model": tr.model_label(record.lambdas), "fold": record.fold,
              "lambdas": {k: float(v) for k, v in record.lambdas.items()}},
         )
@@ -240,7 +237,7 @@ def cmd_grid(config: dict, workers: int) -> int:
 
 def cmd_export_embeddings(config: dict) -> int:
     run = FoldRun.of(config)
-    specs = run.specs()
+    names = list(run.train.lambdas)  # the attributes, in the order of the lambda map
     path = os.path.join(run.out_dir, "attack_scores.bin")
     if not os.path.exists(path):
         raise DataError(f"no attack scores at {path!r}; run the attack command first")
@@ -252,23 +249,27 @@ def cmd_export_embeddings(config: dict) -> int:
                         f"{run.dataset.n_items}, or the file predates latent means; run the attack command again")
     if not np.array_equal(scores.get("test_users"), test_users):
         raise DataError(f"{path} holds the attack on other test users; run the attack command again")
-    for spec in specs:
-        if f"pred_{spec.name}" not in scores:
-            raise DataError(f"{path} has no attacker for attribute {spec.name!r}; run the attack command for it")
+    for attr in names:
+        if f"pred_{attr}" not in scores:
+            raise DataError(f"{path} has no attacker for attribute {attr!r}; run the attack command for it")
+    for name, ndim in [("mu", 2), *((f"pred_{attr}", 1) for attr in names)]:  # one row per test user
+        if scores[name].ndim != ndim or len(scores[name]) != len(test_users):
+            raise DataError(f"{path}: {name} has shape {scores[name].shape} for {len(test_users)} test users; "
+                            "run the attack command again")
     targets = run.attrs.targets()
 
-    def cell(spec, value) -> str:
-        return str(int(value)) if spec.kind == adv.CATEGORICAL else f"{value:.17g}"
+    def cell(attr, value) -> str:
+        return str(int(value)) if tr.ATTRIBUTES[attr] == adv.CATEGORICAL else f"{value:.17g}"
 
     d_latent = scores["mu"].shape[1]
     header = ["user_id"] + [f"z{i}" for i in range(d_latent)]
-    header += [f"pred_{spec.name}" for spec in specs] + [f"true_{spec.name}" for spec in specs]
+    header += [f"pred_{attr}" for attr in names] + [f"true_{attr}" for attr in names]
     lines = ["\t".join(header)]
     mu_format = "\t".join(["%.17g"] * d_latent)
     for i, (user, mu) in enumerate(zip(test_users, scores["mu"].tolist(), strict=True)):
         parts = [run.dataset.user_ids[user], mu_format % tuple(mu)]
-        parts += [cell(spec, scores[f"pred_{spec.name}"][i]) for spec in specs]
-        parts += [cell(spec, targets[spec.name][user]) for spec in specs]
+        parts += [cell(attr, scores[f"pred_{attr}"][i]) for attr in names]
+        parts += [cell(attr, targets[attr][user]) for attr in names]
         lines.append("\t".join(parts))
     out_path = os.path.join(run.out_dir, "embeddings.tsv")
     with atomic_open(out_path) as fh:

@@ -422,7 +422,16 @@ def save_cache(path: str, dataset: InteractionDataset, attrs: UserAttributes, ex
 
 
 def _check_cache(path: str, arrays: dict, meta: dict) -> None:
-    """Raise DataError unless the cache's arrays form a consistent dataset."""
+    """Raise DataError unless the cache's header fields have their types and
+    its arrays form a consistent dataset."""
+    # exact types, because JSON's true would pass for a number
+    fits = {key: type(meta.get(key)) is int and meta[key] >= 0 for key in ("n_users", "n_items")}
+    fits["age_cap"] = type(meta.get("age_cap")) in (int, float) and 0.0 < meta["age_cap"] < np.inf
+    fits.update({key: isinstance(meta.get(key), list) and all(isinstance(v, str) for v in meta[key])
+                 for key in ("gender_labels", "user_ids", "item_ids")})
+    bad = [key for key, ok in fits.items() if not ok]
+    if bad:
+        raise DataError(f"{path}: cache header fields {bad} are missing or malformed")
     missing = sorted({"indptr", "indices", "gender", "age_raw", "age_normalized"} - set(arrays))
     if missing:
         raise DataError(f"{path}: cache lacks arrays {missing}")
@@ -430,7 +439,7 @@ def _check_cache(path: str, arrays: dict, meta: dict) -> None:
     indptr, indices = arrays["indptr"], arrays["indices"]
     if indptr.dtype != np.int64 or indices.dtype != np.int64 or indptr.ndim != 1 or indices.ndim != 1:
         raise DataError(f"{path}: indptr and indices must be 1-d int64 arrays")
-    if n_users < 0 or len(indptr) != n_users + 1:
+    if len(indptr) != n_users + 1:
         raise DataError(f"{path}: indptr has {len(indptr)} entries for {n_users} users")
     if indptr[0] != 0 or indptr[-1] != len(indices) or np.any(np.diff(indptr) < 0):
         raise DataError(f"{path}: indptr must start at 0, never decrease and end at {len(indices)}")

@@ -10,6 +10,11 @@ Parameters live in one flat dict: ``enc.<field>`` and ``dec.<field>``
 arrays, with fields and shapes as ``ENCODER`` and ``DECODER`` lay them out.
 The forward functions read tensors from such a dict lifted onto a tape:
 ``tape.leaf`` for each array to train it, ``tape.constant`` to evaluate.
+
+The forward has two modes, chosen by its ``rng`` alone. Given an rng, it
+trains: the input is masked by inverted dropout at ``DROPOUT_KEEP`` and
+``z`` is sampled (Liang et al., WWW 2018). Given ``None``, it evaluates:
+no mask, and ``z`` is the mean ``mu``.
 """
 
 from __future__ import annotations
@@ -80,27 +85,19 @@ def l2_normalize_rows(x: Array) -> Array:
     return x / safe
 
 
-def encode(
-    x: Array,
-    params: dict[str, Tensor],
-    dropout_keep: float,
-    rng: np.random.Generator | None,
-    training: bool,
-) -> LatentState:
+def encode(x: Array, params: dict[str, Tensor], rng: np.random.Generator | None) -> LatentState:
     """Map interaction rows to latent Gaussian parameters.
 
-    The input is L2-normalized per row and, during training, masked by
-    inverted dropout drawn from ``rng``. ``params`` maps the ``enc.*``
-    names to tensors on one tape.
+    The input is L2-normalized per row and, given an ``rng``, masked by
+    inverted dropout drawn from it. ``params`` maps the ``enc.*`` names to
+    tensors on one tape.
     """
-    if not 0.0 < dropout_keep <= 1.0:
-        raise ConfigError(f"dropout keep probability must be in (0, 1], got {dropout_keep}")
     x = ad.as_f64(x)
     check_binary(x)
     xn = l2_normalize_rows(x)
-    if training and dropout_keep < 1.0:
-        mask = rng.random(x.shape) < dropout_keep
-        xn = xn * mask / dropout_keep
+    if rng is not None:
+        mask = rng.random(x.shape) < DROPOUT_KEEP
+        xn = xn * mask / DROPOUT_KEEP
     x_in = params["enc.hidden_w"].tape.constant(xn, name="x")
     h = ad.tanh(ad.dense(x_in, params["enc.hidden_w"], params["enc.hidden_b"]))
     mu = ad.dense(h, params["enc.mu_w"], params["enc.mu_b"])
@@ -108,13 +105,13 @@ def encode(
     return LatentState(mu=mu, logsigma=logsigma)
 
 
-def reparameterize(state: LatentState, rng: np.random.Generator | None, training: bool) -> Tensor:
-    """Draw ``z = mu + exp(logsigma) * eps`` during training, ``z = mu`` otherwise."""
+def reparameterize(state: LatentState, rng: np.random.Generator | None) -> Tensor:
+    """Draw ``z = mu + exp(logsigma) * eps`` from ``rng``; ``z = mu`` with no rng."""
     if state.mu.data.shape != state.logsigma.data.shape:
         raise DimensionError(
             f"mu shape {state.mu.data.shape} differs from logsigma shape {state.logsigma.data.shape}"
         )
-    if not training:
+    if rng is None:
         return state.mu
     eps = rng.standard_normal(state.mu.data.shape)
     return ad.add(state.mu, ad.mul_const(ad.exp(state.logsigma), eps))
@@ -177,18 +174,13 @@ class LossParts:
 
 
 def multvae_loss(
-    x: Array,
-    params: dict[str, Tensor],
-    beta: float,
-    rng: np.random.Generator | None,
-    training: bool = True,
-    dropout_keep: float = DROPOUT_KEEP,
+    x: Array, params: dict[str, Tensor], beta: float, rng: np.random.Generator | None
 ) -> tuple[Tensor, LossParts]:
     """Reconstruction NLL plus ``beta`` times the KL term, to be minimized."""
     if beta < 0:
         raise ConfigError(f"beta must be >= 0, got {beta}")
-    state = encode(x, params, dropout_keep, rng, training)
-    z = reparameterize(state, rng, training)
+    state = encode(x, params, rng)
+    z = reparameterize(state, rng)
     logits = decode(z, params)
     nll = multinomial_nll(logits, x)
     kl = kl_gaussian(state.mu, state.logsigma)
@@ -196,16 +188,19 @@ def multvae_loss(
     return loss, LossParts(nll=nll, kl=kl, mu=state.mu, z=z)
 
 
-def encode_eval(x: Array, params: dict[str, Array]) -> Array:
-    """Latent mean of interaction rows: :func:`encode` without dropout, on
-    constant parameters, so nothing is recorded for a backward pass."""
+def _constants(params: dict[str, Array], prefixes: tuple[str, ...]) -> dict[str, Tensor]:
+    """The arrays of ``params`` under ``prefixes``, each lifted once onto a new tape as a constant."""
     tape = Tape()
-    constants = {name: tape.constant(arr, name=name) for name, arr in params.items()}
-    return encode(x, constants, 1.0, None, False).mu.data
+    return {name: tape.constant(arr, name=name) for name, arr in params.items() if name.startswith(prefixes)}
+
+
+def encode_eval(x: Array, params: dict[str, Array]) -> Array:
+    """Latent mean of interaction rows: :func:`encode` in evaluation mode,
+    on constant parameters, so nothing is recorded for a backward pass."""
+    return encode(x, _constants(params, ("enc.",)), None).mu.data
 
 
 def scores_eval(x: Array, params: dict[str, Array]) -> Array:
-    """Item logits for ranking, using the latent mean (no sampling, no dropout)."""
-    tape = Tape()
-    mu = tape.constant(encode_eval(x, params), name="mu")
-    return decode(mu, {name: tape.constant(arr, name=name) for name, arr in params.items()}).data
+    """Item logits for ranking, decoded from the latent mean (no sampling, no dropout)."""
+    constants = _constants(params, ("enc.", "dec."))
+    return decode(encode(x, constants, None).mu, constants).data

@@ -175,11 +175,13 @@ def model_label(lambdas: dict) -> str:
     return "AdvXMultVAE"
 
 
+def combo_label(lambdas: dict) -> str:
+    """Output naming convention of a grid unit: each attribute with its lambda's ``:g`` text."""
+    return "_".join(f"{name}{lam:g}" for name, lam in lambdas.items())
+
+
 def build_specs(
-    attrs: UserAttributes,
-    lambdas: dict,
-    train_users: np.ndarray,
-    continuous_head: str = "sigmoid",
+    attrs: UserAttributes, lambdas: dict, train_users: np.ndarray, continuous_head: str
 ) -> list[adv.AttributeSpec]:
     """Attribute specs for every entry of the lambda map, in declared order,
     each of the kind that ``ATTRIBUTES`` gives it.
@@ -275,7 +277,7 @@ def init_model(
     return adv.Params(
         **mv.init_encoder(dataset.n_items, config.d_hidden, config.d_latent, model_rng),
         **mv.init_decoder(dataset.n_items, config.d_hidden, config.d_latent, model_rng),
-        **adv.init_heads("head", specs, config.d_latent, config.d_adv_hidden, adversary_rng),
+        **adv.init_heads(specs, config.d_latent, config.d_adv_hidden, adversary_rng),
     )
 
 
@@ -307,14 +309,11 @@ def run_epoch(params: dict, n_rows: int, rng: np.random.Generator, batch_size: i
 
 
 def train_adversarial_phase(
-    dataset: InteractionDataset,
-    attrs: UserAttributes,
-    specs: list[adv.AttributeSpec],
-    fold: FoldData,
-    config: TrainConfig,
+    dataset: InteractionDataset, attrs: UserAttributes, fold: FoldData, config: TrainConfig
 ) -> TrainResult:
-    """Joint minimization of the recommender loss and all reversed head losses."""
+    """Joint minimization of the recommender loss and the reversed head losses of ``config.lambdas``."""
     config.validate()
+    specs = build_specs(attrs, config.lambdas, fold.split.train, config.continuous_head)
     model_rng = np.random.default_rng(config.model_seed)
     data_rng = np.random.default_rng(config.data_seed)
     adversary_rng = np.random.default_rng(config.adversary_seed)
@@ -327,15 +326,9 @@ def train_adversarial_phase(
     def graph(params, rows, step):
         batch_users = train_users[rows]
         beta = config.beta_max * min(1.0, step / config.anneal_steps) if config.anneal_steps else config.beta_max
-        parts, tape, leaves = adv.total_objective(
-            dataset.batch_matrix(batch_users),
-            {name: values[batch_users] for name, values in targets_all.items()},
-            params,
-            specs,
-            beta,
-            model_rng,
-            training=True,
-        )
+        targets = {name: values[batch_users] for name, values in targets_all.items()}
+        parts, tape, leaves = adv.total_objective(dataset.batch_matrix(batch_users), targets, params, specs, beta,
+                                                  model_rng)
         named = {"mult": parts.mult, "nll": parts.nll, "kl": parts.kl}
         named.update({f"adv_{name}": tensor for name, tensor in parts.adv.items()})
         return parts.loss, named, tape, leaves
@@ -376,26 +369,22 @@ class AttackResult:
 
 
 def train_attack_phase(
-    model: dict,
-    dataset: InteractionDataset,
-    attrs: UserAttributes,
-    specs: list[adv.AttributeSpec],
-    fold: FoldData,
-    config: TrainConfig,
+    model: dict, dataset: InteractionDataset, attrs: UserAttributes, fold: FoldData, config: TrainConfig
 ) -> AttackResult:
     """Train fresh attackers on the frozen encoder's latent means.
 
-    One attacker per attribute, trained on training-fold users and scored
-    on test-fold users (balanced accuracy for categorical attributes, mean
-    absolute error for continuous ones). All attackers share one tape per
-    batch and one optimizer; their losses are independent, so each learns
-    as if alone.
+    One attacker per attribute of ``config.lambdas``, trained on
+    training-fold users and scored on test-fold users (balanced accuracy
+    for categorical attributes, mean absolute error for continuous ones).
+    All attackers share one tape per batch and one optimizer; their losses
+    are independent, so each learns as if alone.
     """
     config.validate()
+    specs = build_specs(attrs, config.lambdas, fold.split.train, config.continuous_head)
     head_rng = np.random.default_rng([config.adversary_seed, 1001])
     shuffle_rng = np.random.default_rng([config.data_seed, 1001])
 
-    heads = adv.init_heads("attacker", specs, config.d_latent, config.d_adv_hidden, head_rng)
+    heads = adv.init_heads(specs, config.d_latent, config.d_adv_hidden, head_rng)
     optimizer = AdamState(config.lr)
 
     train_users = fold.split.train
@@ -463,9 +452,8 @@ def run_single(
     dataset_name: str = "synthetic",
 ) -> RunRecord:
     """Full protocol for one lambda combination on one fold."""
-    specs = build_specs(attrs, config.lambdas, fold.split.train, config.continuous_head)
-    train_result = train_adversarial_phase(dataset, attrs, specs, fold, config)
-    attack = train_attack_phase(train_result.params, dataset, attrs, specs, fold, config)
+    train_result = train_adversarial_phase(dataset, attrs, fold, config)
+    attack = train_attack_phase(train_result.params, dataset, attrs, fold, config)
     ranking, ranking_per_user = rank_test_fold(train_result.params, dataset, fold)
     return RunRecord(
         dataset_name=dataset_name,

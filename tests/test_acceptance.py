@@ -44,7 +44,7 @@ def test_criterion_1_gradient_correctness():
         adv.AttributeSpec(name="age", kind=adv.CONTINUOUS, lam=1.0),
     ]
     r = np.random.default_rng(7)
-    heads = adv.init_heads("head", specs, 4, 5, r)
+    heads = adv.init_heads(specs, 4, 5, r)
     template = {**mv.init_encoder(8, 6, 4, r), **mv.init_decoder(8, 6, 4, r), **heads}
     names = list(template)
     arrays = [np.array(arr) for arr in template.values()]
@@ -52,7 +52,6 @@ def test_criterion_1_gradient_correctness():
     def rebuild(arrs):
         return adv.total_objective(
             x, targets, dict(zip(names, arrs)), specs, beta=0.5, rng=np.random.default_rng(99),
-            training=True, dropout_keep=0.8,
         )
 
     parts, tape, leaves = rebuild(arrays)
@@ -115,12 +114,11 @@ def test_criterion_3_zero_lambda_equivalence():
         lambdas={"gender": 0.0, "age": 0.0},
     )
     fold = prepare_fold(dataset, make_folds(500, seed=9)[0], 0.2, config.data_seed)
-    specs = tr.build_specs(attrs, config.lambdas, fold.split.train)
-    with_heads = tr.train_adversarial_phase(dataset, attrs, specs, fold, config)
+    with_heads = tr.train_adversarial_phase(dataset, attrs, fold, config)
 
     import dataclasses
     plain = tr.train_adversarial_phase(
-        dataset, attrs, [], fold, dataclasses.replace(config, lambdas={})
+        dataset, attrs, fold, dataclasses.replace(config, lambdas={})
     )
     identical = True
     for (name_a, arr_a), (name_b, arr_b) in zip(

@@ -4,6 +4,7 @@ import pytest
 from advrec import adversarial as adv
 from advrec import autodiff as ad
 from advrec import multvae as mv
+from advrec.container import load_container, save_container
 from advrec.errors import ConfigError, DataError
 from advrec.training import AdamState, adam_step
 
@@ -17,8 +18,8 @@ def age_spec(lam=0.0):
     return adv.AttributeSpec(name="age", kind=adv.CONTINUOUS, lam=lam)
 
 
-def make_head(spec=None, d_latent=4, d_hidden=5, seed=0, role="head"):
-    return adv.init_heads(role, [spec or gender_spec()], d_latent, d_hidden, np.random.default_rng(seed))
+def make_head(spec=None, d_latent=4, d_hidden=5, seed=0):
+    return adv.init_heads([spec or gender_spec()], d_latent, d_hidden, np.random.default_rng(seed))
 
 
 def as_leaves(tape, params):
@@ -27,7 +28,7 @@ def as_leaves(tape, params):
 
 def small_model(n_items=8, d_hidden=6, d_latent=4, adv_hidden=5, seed=0):
     rng = np.random.default_rng(seed)
-    heads = adv.init_heads("head", [gender_spec(), age_spec()], d_latent, adv_hidden, rng)
+    heads = adv.init_heads([gender_spec(), age_spec()], d_latent, adv_hidden, rng)
     return adv.Params(
         **mv.init_encoder(n_items, d_hidden, d_latent, rng),
         **mv.init_decoder(n_items, d_hidden, d_latent, rng),
@@ -183,7 +184,6 @@ def test_advx_loss_missing_target_column():
 def objective_grads(model, specs, x, targets, seed=11):
     parts, tape, leaves = adv.total_objective(
         x, targets, model, specs, beta=0.3, rng=np.random.default_rng(seed),
-        training=True, dropout_keep=0.8,
     )
     grad_map = tape.backward(parts.loss)
     return parts, {name: grad_map[leaf] for name, leaf in leaves.items()}
@@ -230,7 +230,6 @@ def test_total_objective_gradients_match_finite_differences_with_reversal():
     def rebuild(arrs):
         return adv.total_objective(
             x, targets, dict(zip(names, arrs)), specs, beta=0.3, rng=np.random.default_rng(13),
-            training=True, dropout_keep=0.8,
         )
 
     parts, tape, leaves = rebuild(arrays)
@@ -263,7 +262,7 @@ def test_total_objective_gradients_match_finite_differences_with_reversal():
 
 
 def train_attacker_on_latents(latents, labels, spec, epochs=60, seed=0, lr=5e-3):
-    head = make_head(spec, latents.shape[1], 8, seed, role="attacker")
+    head = make_head(spec, latents.shape[1], 8, seed)
     state = AdamState(lr=lr)
     rng = np.random.default_rng(seed + 100)
     n = len(labels)
@@ -322,6 +321,17 @@ def test_checkpoint_missing_array_fails_with_data_error(tmp_path):
     path = str(tmp_path / "model.ckpt")
     adv.save_checkpoint(path, arrays, {})
     with pytest.raises(DataError, match="enc.mu_b"):
+        adv.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("field, value", [("head_names", 5), ("head_names", [5]), ("config", [])])
+def test_checkpoint_with_a_malformed_header_fails_with_data_error(tmp_path, field, value):
+    path = str(tmp_path / "model.ckpt")
+    adv.save_checkpoint(path, small_model(), {})
+    arrays, meta = load_container(path)
+    meta[field] = value
+    save_container(path, arrays, meta)
+    with pytest.raises(DataError, match=f"model.ckpt.*{field}"):
         adv.load_checkpoint(path)
 
 

@@ -148,7 +148,11 @@ def test_train_rejects_out_of_range_settings(tmp_path, capsys, key, value):
     # a bad value in one grid combination fails the command before any unit runs
     ("grid", {"grid.gender": "0,-1"}, "'gender'"),
     ("grid", {"grid.gender": "0,nan"}, "'gender'"),
-], ids=["train", "grid", "grid.gender=0,-1", "grid.gender=0,nan"])
+    # two units of one grid would write the same directory
+    ("grid", {"grid.gender": "400,0,400"}, "grid.gender"),
+    ("grid", {"grid.age": "0.1234567,0.1234568"}, "grid.age"),
+], ids=["train", "grid", "grid.gender=0,-1", "grid.gender=0,nan", "grid.gender=400,0,400",
+        "grid.age=0.1234567,0.1234568"])
 def test_settings_are_checked_before_the_data_is_read(tmp_path, capsys, command, settings, named):
     config = write_config(tmp_path, **settings)
     assert main([command, "--config", str(config)]) == 2  # no cache exists, and the setting is named first
@@ -374,8 +378,22 @@ def _attack_scores_without_mu(run_dir, config):
     save_container(path, scores, meta)
 
 
-@pytest.mark.parametrize("spoil", [_without_attack_scores, _attack_on_other_test_users, _attack_scores_without_mu],
-                         ids=lambda spoil: spoil.__name__.strip("_"))
+def _attack_scores_with(name, value):
+    """A spoiler named after ``name`` that replaces that array of the attack's record with ``value(array)``."""
+    def spoil(run_dir, config):
+        path = str(run_dir / "attack_scores.bin")
+        scores, meta = load_container(path)
+        scores[name] = value(scores[name])
+        save_container(path, scores, meta)
+    spoil.__name__ = f"_attack_scores_with_a_reshaped_{name}"
+    return spoil
+
+
+@pytest.mark.parametrize("spoil", [
+    _without_attack_scores, _attack_on_other_test_users, _attack_scores_without_mu,
+    _attack_scores_with("pred_gender", lambda pred: pred[:3]),
+    _attack_scores_with("mu", lambda mu: mu[:, 0].copy()),
+], ids=lambda spoil: spoil.__name__.strip("_"))
 def test_export_embeddings_needs_the_attack_record_of_this_fold(workspace, capsys, spoil):
     tmp_path, config = workspace
     assert main(["preprocess", "--config", str(config)]) == 0
@@ -486,6 +504,18 @@ def test_grid_single_point_matches_single_run(workspace):
     assert float(grid_row["ndcg@10"]) == pytest.approx(float(eval_row["ndcg@10"]), abs=1e-6)
     assert float(grid_row["bacc_gender"]) == pytest.approx(float(attack_row["bacc_gender"]), abs=1e-6)
     assert float(grid_row["mae_age"]) == pytest.approx(float(attack_row["mae_age"]), abs=1e-6)
+
+    # every per-user array of the grid unit, byte for byte: the attack's and the ranking's
+    grid_scores, _ = load_container(str(tmp_path / "runs" / "grid" / "gender60_age0" / "fold0" / "user_scores.bin"))
+    attack_scores, _ = load_container(str(run_dir / "attack_scores.bin"))
+    eval_scores, _ = load_container(str(run_dir / "eval_scores.bin"))
+    single = {**attack_scores, **eval_scores}
+    del single["mu"]
+    assert sorted(grid_scores) == sorted(single)
+    assert {"ndcg", "recall", "evaluated", "pred_gender", "correct_gender", "pred_age", "abs_err_age"} <= set(single)
+    for name, arr in grid_scores.items():
+        assert (arr.dtype, arr.shape, arr.tobytes()) == (single[name].dtype, single[name].shape,
+                                                          single[name].tobytes()), name
 
 
 def test_console_script_entry_point(workspace):

@@ -513,6 +513,18 @@ def _missing_indices(arrays, meta):
     del arrays["indices"]
 
 
+def _no_user_count(arrays, meta):
+    del meta["n_users"]
+
+
+def _null_age_cap(arrays, meta):
+    meta["age_cap"] = None
+
+
+def _item_count_as_text(arrays, meta):
+    meta["n_items"] = str(meta["n_items"])
+
+
 def _reversed_row(arrays, meta):
     stop = arrays["indptr"][1]
     arrays["indices"] = arrays["indices"].copy()
@@ -538,7 +550,7 @@ def _first_entry(label, name, value, dtype=None):
 @pytest.mark.parametrize("corrupt", [
     _truncated_indptr, _index_past_the_catalog, _short_gender, _decreasing_indptr,
     _indptr_short_of_indices, _negative_index, _float_indices, _short_age, _missing_item_ids,
-    _missing_indices, _reversed_row, _repeated_item,
+    _missing_indices, _reversed_row, _repeated_item, _no_user_count, _null_age_cap, _item_count_as_text,
     _first_entry("_negative_gender", "gender", -1),
     _first_entry("_gender_7", "gender", 7),
     _first_entry("_gender_past_the_labels", "gender", lambda meta: len(meta["gender_labels"])),

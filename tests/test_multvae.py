@@ -3,7 +3,7 @@ import pytest
 
 from advrec import autodiff as ad
 from advrec import multvae as mv
-from advrec.errors import ConfigError, ContractError, DimensionError
+from advrec.errors import ContractError, DimensionError
 
 
 def make_params(n_items=8, d_hidden=6, d_latent=4, seed=0):
@@ -29,7 +29,7 @@ def test_encode_deterministic_given_seed():
     x = random_x(3, 8, seed=1)
     outs = []
     for _ in range(2):
-        state = mv.encode(x, as_leaves(ad.Tape(), params), 1.0, np.random.default_rng(42), training=True)
+        state = mv.encode(x, as_leaves(ad.Tape(), params), np.random.default_rng(42))
         outs.append((state.mu.data.copy(), state.logsigma.data.copy()))
     assert np.array_equal(outs[0][0], outs[1][0])
     assert np.array_equal(outs[0][1], outs[1][1])
@@ -41,7 +41,7 @@ def test_encode_zero_weights_gives_bias():
         params[name] = np.zeros_like(params[name])
     params["enc.mu_b"] = np.full(4, 0.7)
     params["enc.logsigma_b"] = np.full(4, -0.3)
-    state = mv.encode(random_x(5, 8), as_leaves(ad.Tape(), params), 1.0, None, training=False)
+    state = mv.encode(random_x(5, 8), as_leaves(ad.Tape(), params), None)
     assert np.allclose(state.mu.data, 0.7)
     assert np.allclose(state.logsigma.data, -0.3)
 
@@ -52,8 +52,8 @@ def test_encode_rows_are_independent():
     x[0, 3] = 1.0
     x2 = np.vstack([x, x])
     enc_t = as_leaves(ad.Tape(), params)
-    one = mv.encode(x, enc_t, 1.0, None, training=False)
-    two = mv.encode(x2, enc_t, 1.0, None, training=False)
+    one = mv.encode(x, enc_t, None)
+    two = mv.encode(x2, enc_t, None)
     # identical rows in one batch encode identically ...
     assert np.array_equal(two.mu.data[0], two.mu.data[1])
     # ... and batch size does not influence a row's encoding (up to BLAS
@@ -64,21 +64,15 @@ def test_encode_rows_are_independent():
 def test_encode_rejects_non_binary_and_allows_zero_rows():
     enc_t = as_leaves(ad.Tape(), make_params())
     with pytest.raises(ContractError):
-        mv.encode(np.full((1, 8), 0.5), enc_t, 1.0, None, training=False)
-    out = mv.encode(np.zeros((2, 8)), enc_t, 1.0, None, training=False)
+        mv.encode(np.full((1, 8), 0.5), enc_t, None)
+    out = mv.encode(np.zeros((2, 8)), enc_t, None)
     assert np.all(np.isfinite(out.mu.data))
-
-
-def test_encode_rejects_bad_dropout_keep():
-    enc_t = as_leaves(ad.Tape(), make_params())
-    with pytest.raises(ConfigError):
-        mv.encode(random_x(1, 8), enc_t, 0.0, None, training=False)
 
 
 def test_reparameterize_eval_returns_mu_bitwise():
     enc_t = as_leaves(ad.Tape(), make_params())
-    state = mv.encode(random_x(4, 8), enc_t, 1.0, None, training=False)
-    z = mv.reparameterize(state, np.random.default_rng(0), training=False)
+    state = mv.encode(random_x(4, 8), enc_t, None)
+    z = mv.reparameterize(state, None)
     assert z is state.mu
 
 
@@ -86,7 +80,7 @@ def test_reparameterize_vanishing_variance():
     tape = ad.Tape()
     mu = tape.leaf(np.zeros((2, 3)))
     logsigma = tape.leaf(np.full((2, 3), -50.0))
-    z = mv.reparameterize(mv.LatentState(mu, logsigma), np.random.default_rng(3), training=True)
+    z = mv.reparameterize(mv.LatentState(mu, logsigma), np.random.default_rng(3))
     assert np.max(np.abs(z.data - mu.data)) < 1e-20
 
 
@@ -95,7 +89,7 @@ def test_reparameterize_sample_mean_matches_prior():
     n = 100_000
     mu = tape.leaf(np.zeros((n, 1)))
     logsigma = tape.leaf(np.zeros((n, 1)))
-    z = mv.reparameterize(mv.LatentState(mu, logsigma), np.random.default_rng(11), training=True)
+    z = mv.reparameterize(mv.LatentState(mu, logsigma), np.random.default_rng(11))
     assert abs(z.data.mean()) < 0.02
 
 
@@ -123,7 +117,7 @@ def test_decode_dimension_mismatch():
 def test_roundtrip_shape():
     x = random_x(5, 8)
     leaves = as_leaves(ad.Tape(), make_params())
-    state = mv.encode(x, leaves, 1.0, None, training=False)
+    state = mv.encode(x, leaves, None)
     logits = mv.decode(state.mu, leaves)
     assert logits.data.shape == x.shape
 
@@ -183,8 +177,6 @@ def test_multvae_loss_beta_zero_equals_nll():
         as_leaves(ad.Tape(), params),
         beta=0.0,
         rng=np.random.default_rng(1),
-        training=True,
-        dropout_keep=1.0,
     )
     assert float(loss.data) == float(parts.nll.data)
 
@@ -192,15 +184,16 @@ def test_multvae_loss_beta_zero_equals_nll():
 def test_multvae_loss_parts_carry_mu_and_the_decoded_sample():
     params = make_params(seed=5)
     x = random_x(5, 8, seed=5)
-    _, parts = mv.multvae_loss(x, as_leaves(ad.Tape(), params), 0.2, None, training=False)
+    _, parts = mv.multvae_loss(x, as_leaves(ad.Tape(), params), 0.2, None)
     assert parts.z is parts.mu
     assert np.array_equal(parts.mu.data, mv.encode_eval(x, params))
 
     tape = ad.Tape()
     leaves = as_leaves(tape, params)
-    _, parts = mv.multvae_loss(x, leaves, 0.2, np.random.default_rng(9), training=True, dropout_keep=1.0)
-    state = mv.encode(x, leaves, 1.0, None, training=True)
-    z = mv.reparameterize(state, np.random.default_rng(9), training=True)
+    _, parts = mv.multvae_loss(x, leaves, 0.2, np.random.default_rng(9))
+    rng = np.random.default_rng(9)
+    state = mv.encode(x, leaves, rng)
+    z = mv.reparameterize(state, rng)
     assert np.array_equal(parts.mu.data, state.mu.data)
     assert np.array_equal(parts.z.data, z.data) and not np.array_equal(z.data, state.mu.data)
 
@@ -215,8 +208,7 @@ def test_multvae_loss_zero_information_encoder():
         x,
         as_leaves(ad.Tape(), params),
         beta=1.0,
-        rng=np.random.default_rng(1),
-        training=False,
+        rng=None,
     )
     assert float(parts.kl.data) == 0.0
     assert float(loss.data) == float(parts.nll.data)
@@ -231,9 +223,7 @@ def test_multvae_loss_gradients_match_finite_differences():
     def build(arrs):
         tape = ad.Tape()
         leaves = as_leaves(tape, dict(zip(names, arrs)))
-        loss, _ = mv.multvae_loss(
-            x, leaves, beta=0.7, rng=np.random.default_rng(99), training=True, dropout_keep=0.8
-        )
+        loss, _ = mv.multvae_loss(x, leaves, beta=0.7, rng=np.random.default_rng(99))
         return loss, tape, leaves
 
     loss, tape, leaves = build(arrays)
@@ -251,8 +241,8 @@ def test_eval_path_matches_tape_path_bitwise():
     params = make_params(seed=13)
     x = random_x(6, 8, seed=13)
     leaves = as_leaves(ad.Tape(), params)
-    state = mv.encode(x, leaves, 0.5, None, training=False)
-    z = mv.reparameterize(state, None, training=False)
+    state = mv.encode(x, leaves, None)
+    z = mv.reparameterize(state, None)
     logits = mv.decode(z, leaves)
     assert np.array_equal(mv.encode_eval(x, params), state.mu.data)
     assert np.array_equal(mv.scores_eval(x, params), logits.data)

@@ -162,22 +162,19 @@ def test_training_is_bit_deterministic():
     results = []
     for _ in range(2):
         dataset, attrs, fold, config = tiny_setup(lambdas={"gender": 1.0, "age": 1.0})
-        specs = tr.build_specs(attrs, config.lambdas, fold.split.train)
-        result = tr.train_adversarial_phase(dataset, attrs, specs, fold, config)
+        result = tr.train_adversarial_phase(dataset, attrs, fold, config)
         results.append(tr.params_hash(result.params.items()))
     assert results[0] == results[1]
 
 
 def test_epoch_log_length_matches_configuration():
     dataset, attrs, fold, config = tiny_setup(epochs_adversarial=7, epochs_attack=3)
-    specs = tr.build_specs(attrs, {}, fold.split.train)
-    result = tr.train_adversarial_phase(dataset, attrs, specs, fold, config)
+    result = tr.train_adversarial_phase(dataset, attrs, fold, config)
     assert len(result.log) == 7
-    attack = tr.train_attack_phase(result.params, dataset, attrs,
-                                   tr.build_specs(attrs, {"gender": 0.0}, fold.split.train),
-                                   fold, config)
+    attack = tr.train_attack_phase(result.params, dataset, attrs, fold,
+                                   dataclasses.replace(config, lambdas={"gender": 0.0}))
     assert len(attack.log) == 3
-    nothing = tr.train_attack_phase(result.params, dataset, attrs, [], fold, config)
+    nothing = tr.train_attack_phase(result.params, dataset, attrs, fold, config)
     assert nothing.log == [{"epoch": e} for e in range(3)] and nothing.metrics == {}
 
 
@@ -185,11 +182,10 @@ def test_zero_lambda_run_matches_plain_training_bitwise():
     dataset, attrs, fold, config = tiny_setup(
         epochs_adversarial=10, lambdas={"gender": 0.0, "age": 0.0}
     )
-    specs = tr.build_specs(attrs, config.lambdas, fold.split.train)
-    with_heads = tr.train_adversarial_phase(dataset, attrs, specs, fold, config)
+    with_heads = tr.train_adversarial_phase(dataset, attrs, fold, config)
 
     plain_config = dataclasses.replace(config, lambdas={})
-    plain = tr.train_adversarial_phase(dataset, attrs, [], fold, plain_config)
+    plain = tr.train_adversarial_phase(dataset, attrs, fold, plain_config)
 
     for (name_a, bytes_a), (name_b, bytes_b) in zip(
         enc_dec_bytes(with_heads.params), enc_dec_bytes(plain.params)
@@ -207,16 +203,15 @@ def test_divergence_aborts_with_location(monkeypatch):
     def bad_objective(*args, **kwargs):
         return adv.ObjectiveParts(loss=BadLoss(), mult=None, nll=None, kl=None, adv={}), None, {}
 
-    model = tr.train_adversarial_phase(dataset, attrs, [], fold, config).params
+    model = tr.train_adversarial_phase(dataset, attrs, fold, config).params
     monkeypatch.setattr(adv, "total_objective", bad_objective)
     with pytest.raises(TrainingDiverged) as err:
-        tr.train_adversarial_phase(dataset, attrs, [], fold, config)
+        tr.train_adversarial_phase(dataset, attrs, fold, config)
     assert "epoch 0" in str(err.value) and "batch 0" in str(err.value)
 
     monkeypatch.setattr(adv, "attacker_loss_graph", lambda *args: (BadLoss(), {}, None, {}))
-    specs = tr.build_specs(attrs, {"gender": 0.0}, fold.split.train)
     with pytest.raises(TrainingDiverged) as err:
-        tr.train_attack_phase(model, dataset, attrs, specs, fold, config)
+        tr.train_attack_phase(model, dataset, attrs, fold, dataclasses.replace(config, lambdas={"gender": 0.0}))
     assert "epoch 0" in str(err.value) and "batch 0" in str(err.value)
 
 
@@ -248,8 +243,7 @@ def test_no_parameter_store_outlives_its_step(monkeypatch):
 
     monkeypatch.setattr(tr, "init_model", tracked_init)
     monkeypatch.setattr(tr, "adam_step", checked_step)
-    specs = tr.build_specs(attrs, config.lambdas, fold.split.train)
-    result = tr.train_adversarial_phase(dataset, attrs, specs, fold, config)
+    result = tr.train_adversarial_phase(dataset, attrs, fold, config)
     assert same_arrays == [True] * 4
     assert all(result.params[name] is arr for name, arr in initial.items())
     largest = max(arr.nbytes for arr in initial.values())
@@ -259,11 +253,10 @@ def test_no_parameter_store_outlives_its_step(monkeypatch):
 def test_best_selection_returns_the_store_of_a_run_stopped_at_the_best_epoch():
     dataset, attrs, fold, config = tiny_setup(epochs_adversarial=8, val_every=1, selection="best",
                                               lambdas={"gender": 1.0})
-    specs = tr.build_specs(attrs, config.lambdas, fold.split.train)
-    best = tr.train_adversarial_phase(dataset, attrs, specs, fold, config)
+    best = tr.train_adversarial_phase(dataset, attrs, fold, config)
     assert best.best_epoch < config.epochs_adversarial - 1  # later steps change the live store
     stopped_config = dataclasses.replace(config, epochs_adversarial=best.best_epoch + 1, selection="final")
-    stopped = tr.train_adversarial_phase(dataset, attrs, specs, fold, stopped_config)
+    stopped = tr.train_adversarial_phase(dataset, attrs, fold, stopped_config)
     assert best.params.keys() == stopped.params.keys()
     for name, arr in stopped.params.items():
         assert best.params[name].tobytes() == arr.tobytes(), name
@@ -271,12 +264,11 @@ def test_best_selection_returns_the_store_of_a_run_stopped_at_the_best_epoch():
 
 def test_attack_phase_leaves_model_frozen():
     dataset, attrs, fold, config = tiny_setup(lambdas={"gender": 0.0})
-    specs = tr.build_specs(attrs, config.lambdas, fold.split.train)
-    result = tr.train_adversarial_phase(dataset, attrs, specs, fold, config)
+    result = tr.train_adversarial_phase(dataset, attrs, fold, config)
     before = tr.params_hash(result.params.items())
     for arr in result.params.values():
         arr.setflags(write=False)  # numpy refuses any write into the model
-    tr.train_attack_phase(result.params, dataset, attrs, specs, fold, config)
+    tr.train_attack_phase(result.params, dataset, attrs, fold, config)
     after = tr.params_hash(result.params.items())
     assert before == after
 
@@ -300,12 +292,12 @@ def test_attacker_on_untrained_encoder_with_random_labels_is_chance_level():
         )
         rng = np.random.default_rng(seed + 900)
         attrs.gender = rng.permutation(np.tile([0, 1], 125))  # labels independent of x
-        specs = tr.build_specs(attrs, config.lambdas, fold.split.train)
+        specs = tr.build_specs(attrs, config.lambdas, fold.split.train, config.continuous_head)
         model = tr.init_model(
             dataset, specs, config,
             np.random.default_rng(seed), np.random.default_rng(seed + 1),
         )
-        attack = tr.train_attack_phase(model, dataset, attrs, specs, fold, config)
+        attack = tr.train_attack_phase(model, dataset, attrs, fold, config)
         baccs.append(attack.metrics["bacc_gender"])
     assert 0.45 <= float(np.mean(baccs)) <= 0.60
 
@@ -502,8 +494,7 @@ def test_best_validation_checkpoint_is_tracked():
     dataset, attrs, fold, config = tiny_setup(
         epochs_adversarial=6, val_every=2, selection="best"
     )
-    specs = tr.build_specs(attrs, {}, fold.split.train)
-    result = tr.train_adversarial_phase(dataset, attrs, specs, fold, config)
+    result = tr.train_adversarial_phase(dataset, attrs, fold, config)
     assert result.best_epoch >= 0
     logged = [entry for entry in result.log if "val_ndcg" in entry]
     assert logged, "validation entries expected"
