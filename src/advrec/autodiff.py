@@ -185,8 +185,7 @@ def sigmoid(x: Tensor) -> Tensor:
     """Logistic function, bit-identical to ``scipy.special.expit``.
 
     Each element is ``1 / (1 + exp(-v))`` with libm's ``exp``, as ``expit``
-    computes it. numpy's SIMD ``np.exp`` rounds some inputs differently, and
-    importing scipy.special costs every process a quarter second and 20 MB.
+    computes it; numpy's SIMD ``np.exp`` rounds some inputs differently.
     The loop is in Python, which is cheap for its callers: the continuous
     heads' (rows, 1) outputs.
     """

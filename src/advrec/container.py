@@ -111,8 +111,12 @@ def load_container(path: str) -> tuple[dict[str, np.ndarray], dict]:
         if magic != MAGIC:
             raise DataError(f"{path}: not a recognized container file")
         header_len = int.from_bytes(fh.read(8), "little")
+        size = os.fstat(fh.fileno()).st_size
+        # checked before reading, so that a corrupt length cannot ask for more memory than the file holds
+        if header_len > size - fh.tell():
+            raise DataError(f"{path}: container header length {header_len} runs past the end of the file")
         header = _checked_header(path, fh.read(header_len))
-        payload_start, size = fh.tell(), os.fstat(fh.fileno()).st_size
+        payload_start = fh.tell()
         for entry in header["arrays"]:
             start = payload_start + entry["offset"]
             # checked before allocating, so that a corrupt shape cannot ask for more memory than the file holds

@@ -384,7 +384,8 @@ def train_attack_phase(
     head_rng = np.random.default_rng([config.adversary_seed, 1001])
     shuffle_rng = np.random.default_rng([config.data_seed, 1001])
 
-    heads = adv.init_heads(specs, config.d_latent, config.d_adv_hidden, head_rng)
+    # the model's latent width, as encode_users reads it; config.d_latent may differ from the checkpoint's
+    heads = adv.init_heads(specs, model["enc.mu_b"].shape[0], config.d_adv_hidden, head_rng)
     optimizer = AdamState(config.lr)
 
     train_users = fold.split.train

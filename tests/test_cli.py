@@ -438,6 +438,18 @@ def test_commands_reject_a_checkpoint_trained_with_other_settings(workspace, cap
     assert sorted(path.name for path in run_dir.iterdir()) == ["checkpoint.bin", "manifest.json", "train_log.csv"]
 
 
+def test_attack_sizes_its_heads_by_the_checkpoint_not_the_config(workspace):
+    tmp_path, config = workspace
+    assert main(["preprocess", "--config", str(config)]) == 0
+    assert main(["train", "--config", str(config)]) == 0  # train.d_latent=6
+    scores = tmp_path / "runs" / "MultVAE" / "fold0" / "attack_scores.bin"
+    assert main(["attack", "--config", str(config)]) == 0
+    at_six = scores.read_bytes()
+    config.write_text(config.read_text().replace("train.d_latent=6", "train.d_latent=8"))
+    assert main(["attack", "--config", str(config)]) == 0
+    assert scores.read_bytes() == at_six
+
+
 def test_train_log_keeps_validation_column_when_the_first_epoch_is_not_validated(tmp_path):
     write_raw_tsvs(tmp_path)
     config = write_config(tmp_path, **{"train.val_every": "2", "train.selection": "best"})
@@ -528,48 +540,29 @@ def test_console_script_entry_point(workspace):
     assert "cache written" in result.stdout
 
 
-SCIPY_LOADED = "sys.exit(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')) or None)"
-
-
-def test_importing_the_cli_loads_no_scipy():
-    # scipy.special alone adds a quarter second and 20 MB to every process, grid workers included
-    result = subprocess.run([sys.executable, "-c", "import sys, advrec.cli\n" + SCIPY_LOADED],
-                            capture_output=True, text=True)
-    assert result.returncode == 0, result.stderr
-
-
-def test_a_run_with_both_removal_heads_loads_no_scipy():
-    # the sigmoid of the continuous heads computes expit without scipy.special
+def test_a_grid_and_its_summary_run_with_scipy_blocked():
+    # the package needs numpy alone: a grid with both removal heads, and its summary's three paired tests
     code = """
 import sys
-from advrec import training as tr
-from advrec.data import HOLDOUT_RATIO, make_folds, prepare_fold
-from advrec.synthetic import planted_dataset
-dataset, attrs = planted_dataset(120, 30, seed=0, items_low=4, items_high=12)
-config = tr.TrainConfig(epochs_adversarial=2, epochs_attack=2, d_hidden=8, d_latent=4, d_adv_hidden=4,
-                        lambdas={"gender": 400.0, "age": 400.0}, continuous_head="sigmoid")
-fold = prepare_fold(dataset, make_folds(120, config.data_seed, 2)[0], HOLDOUT_RATIO, config.data_seed)
-record = tr.run_single(dataset, attrs, fold, config)
-assert "mae_age" in record.metrics and "bacc_gender" in record.metrics
-""" + SCIPY_LOADED
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert result.returncode == 0, result.stderr
-
-
-def test_a_grid_and_its_summary_leave_scipy_stats_unloaded():
-    # the grid benchmark peaks near 110 MB under a 10% bound; scipy.stats adds about 46 MB
-    code = """
-import dataclasses, sys
+sys.modules["scipy"] = None  # any import of scipy or a submodule now raises ImportError
+import dataclasses
+import advrec.cli
 from advrec import training as tr
 from advrec.data import HOLDOUT_RATIO, make_folds, prepare_fold
 from advrec.synthetic import planted_dataset
 dataset, attrs = planted_dataset(200, 30, seed=0, items_low=4, items_high=12)
-base = tr.TrainConfig(epochs_adversarial=2, epochs_attack=2, d_hidden=8, d_latent=4, d_adv_hidden=4)
-configs = [dataclasses.replace(base, lambdas={"gender": g, "age": a}) for g, a in [(0.0, 0.0), (400.0, 0.0), (0.0, 400.0)]]
+base = tr.TrainConfig(epochs_adversarial=5, epochs_attack=10, d_hidden=8, d_latent=4, d_adv_hidden=4,
+                      continuous_head="sigmoid")
+# at this scale each attribute's best combination is not the baseline, so the summary tests both
+configs = [dataclasses.replace(base, lambdas={"gender": g, "age": a})
+           for g, a in [(0.0, 0.0), (40.0, 0.0), (0.0, 40.0), (40.0, 40.0)]]
 folds = [prepare_fold(dataset, split, HOLDOUT_RATIO, base.data_seed) for split in make_folds(200, base.data_seed, 2)]
 outcome = tr.grid_search(dataset, attrs, configs, folds)
+assert not outcome.failures, outcome.failures
 summary = tr.grid_summary(outcome.records)
-assert not outcome.failures and any("p_ndcg_vs_baseline" in row and "p_attr_vs_baseline" in row for row in summary)
-sys.exit('scipy.stats' in sys.modules)
+tested = {row["attr_test"]: row for row in summary if "attr_test" in row}
+assert all(0.0 <= tested[test][p] <= 1.0 for test in ("t-test", "mcnemar")
+           for p in ("p_attr_vs_baseline", "p_ndcg_vs_baseline")), summary
 """
-    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr

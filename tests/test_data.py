@@ -609,6 +609,19 @@ def test_load_container_rejects_a_corrupt_header_naming_the_file(tmp_path, corru
         load_container(str(path))
 
 
+@pytest.mark.parametrize("header_len", [1 << 40, 1 << 62, (1 << 63) + 5, None],
+                         ids=["2^40", "2^62", "2^63+5", "one-past-the-end"])
+def test_load_container_rejects_a_corrupt_header_length_naming_the_file(tmp_path, header_len):
+    path = tmp_path / "corrupt.bin"
+    save_container(str(path), {"w": np.arange(3.0)}, {"kind": "test"})
+    raw = path.read_bytes()
+    start = len(MAGIC) + 8
+    header_len = len(raw) - start + 1 if header_len is None else header_len
+    path.write_bytes(MAGIC + header_len.to_bytes(8, "little") + raw[start:])
+    with pytest.raises(DataError, match="corrupt.bin"):
+        load_container(str(path))
+
+
 def test_container_payload_is_each_array_in_c_order_by_name(tmp_path):
     arrays = {"b": np.arange(6.0).reshape(2, 3).T, "a": np.array([True, False]), "c": np.zeros((0, 4)),
               "d": np.array([[-5]]), "e": np.arange(7)[::2], "f": np.array(5.0)}

@@ -1,10 +1,12 @@
 import collections
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
-from scipy.stats import rankdata
+from scipy.special import betainc
+from scipy.stats import rankdata, ttest_rel
 
 from advrec import evaluation as ev
 from advrec.errors import ConfigError, ContractError, DataError
@@ -294,6 +296,21 @@ def test_t_test_hand_value():
     assert abs(result.statistic - 4.2426) < 1e-4
     assert abs(result.p_value - 0.0132) < 0.002
     assert result.significant
+
+
+def test_paired_t_test_p_matches_scipy_betainc():
+    magnitudes = np.logspace(-9, 3, 97)
+    ts = np.concatenate([-magnitudes, [0.0], magnitudes])
+    for dof in [*range(1, 61), 799, 6039, 20_000, 100_000]:
+        want = betainc(dof / 2.0, 0.5, dof / (dof + ts * ts))
+        got = np.array([ev._t_two_sided_p(t, dof) for t in ts.tolist()])
+        # below the smallest normal float no relative bound holds, and betainc's own underflow to 0 starts there
+        bad = np.abs(got - want) > 1e-9 * want + sys.float_info.min
+        assert not bad.any(), (dof, ts[bad], got[bad], want[bad])
+        assert got[len(magnitudes)] == 1.0  # t = 0
+    rng = np.random.default_rng(4)
+    a, b = rng.random(800), rng.random(800) + 0.05
+    assert ev.paired_t_test(a, b).p_value == pytest.approx(ttest_rel(a, b).pvalue, rel=1e-9)
 
 
 def test_t_test_swap_symmetry():
