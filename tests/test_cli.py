@@ -540,6 +540,54 @@ def test_console_script_entry_point(workspace):
     assert "cache written" in result.stdout
 
 
+# with scipy installed, these three fail if any code path imports it, even behind a fallback
+SCIPY_LOADED = "sys.exit(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')) or None)"
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # scipy.special alone adds a quarter second and 20 MB to every process, grid workers included
+    result = subprocess.run([sys.executable, "-c", "import sys, advrec.cli\n" + SCIPY_LOADED],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+
+
+def test_a_run_with_both_removal_heads_loads_no_scipy():
+    # the sigmoid of the continuous heads computes expit without scipy.special
+    code = """
+import sys
+from advrec import training as tr
+from advrec.data import HOLDOUT_RATIO, make_folds, prepare_fold
+from advrec.synthetic import planted_dataset
+dataset, attrs = planted_dataset(120, 30, seed=0, items_low=4, items_high=12)
+config = tr.TrainConfig(epochs_adversarial=2, epochs_attack=2, d_hidden=8, d_latent=4, d_adv_hidden=4,
+                        lambdas={"gender": 400.0, "age": 400.0}, continuous_head="sigmoid")
+fold = prepare_fold(dataset, make_folds(120, config.data_seed, 2)[0], HOLDOUT_RATIO, config.data_seed)
+record = tr.run_single(dataset, attrs, fold, config)
+assert "mae_age" in record.metrics and "bacc_gender" in record.metrics
+""" + SCIPY_LOADED
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+
+
+def test_a_grid_and_its_summary_leave_scipy_stats_unloaded():
+    # the grid benchmark peaks near 110 MB under a 10% bound; scipy.stats adds about 46 MB
+    code = """
+import dataclasses, sys
+from advrec import training as tr
+from advrec.data import HOLDOUT_RATIO, make_folds, prepare_fold
+from advrec.synthetic import planted_dataset
+dataset, attrs = planted_dataset(200, 30, seed=0, items_low=4, items_high=12)
+base = tr.TrainConfig(epochs_adversarial=2, epochs_attack=2, d_hidden=8, d_latent=4, d_adv_hidden=4)
+configs = [dataclasses.replace(base, lambdas={"gender": g, "age": a}) for g, a in [(0.0, 0.0), (400.0, 0.0), (0.0, 400.0)]]
+folds = [prepare_fold(dataset, split, HOLDOUT_RATIO, base.data_seed) for split in make_folds(200, base.data_seed, 2)]
+outcome = tr.grid_search(dataset, attrs, configs, folds)
+summary = tr.grid_summary(outcome.records)
+assert not outcome.failures and any("p_ndcg_vs_baseline" in row and "p_attr_vs_baseline" in row for row in summary)
+sys.exit('scipy.stats' in sys.modules)
+"""
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
+
 def test_a_grid_and_its_summary_run_with_scipy_blocked():
     # the package needs numpy alone: a grid with both removal heads, and its summary's three paired tests
     code = """
