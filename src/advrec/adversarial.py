@@ -117,7 +117,7 @@ def adv_forward(z: Tensor, params: dict[str, Tensor], spec: AttributeSpec) -> Te
 def weighted_ce(logits: Tensor, labels: Array, weights: Array) -> Tensor:
     """Class-weighted cross entropy: weighted mean of per-sample NLL."""
     labels = np.asarray(labels)
-    weights = ad.as_f64(weights)
+    weights = ad.as_dtype_of(weights, logits)
     n_classes = logits.data.shape[1]
     if np.any(weights <= 0):
         raise ConfigError("class weights must be positive")
@@ -128,8 +128,8 @@ def weighted_ce(logits: Tensor, labels: Array, weights: Array) -> Tensor:
     shift = logits.data - logits.data.max(axis=1, keepdims=True)
     log_softmax = shift - np.log(np.exp(shift).sum(axis=1, keepdims=True))
     sample_w = weights[labels]
-    total_w = sample_w.sum()
-    value = -(sample_w * log_softmax[np.arange(batch), labels]).sum() / total_w
+    total_w = float(sample_w.sum())
+    value = -float((sample_w * log_softmax[np.arange(batch), labels]).sum()) / total_w
     softmax = np.exp(log_softmax)
 
     def grad_fn(g: Array) -> None:
@@ -137,20 +137,20 @@ def weighted_ce(logits: Tensor, labels: Array, weights: Array) -> Tensor:
         grad[np.arange(batch), labels] -= 1.0
         ad.accumulate(logits, (float(g) / total_w) * sample_w[:, None] * grad)
 
-    return ad.result_of((logits,), np.asarray(value), grad_fn, name="weighted_ce")
+    return ad.result_of((logits,), ad.as_dtype_of(value, logits), grad_fn, name="weighted_ce")
 
 
 def mse(pred: Tensor, target: Array) -> Tensor:
     """Mean squared error against a constant target vector."""
-    target = ad.as_f64(target).reshape(pred.data.shape)
+    target = ad.as_dtype_of(target, pred).reshape(pred.data.shape)
     diff = pred.data - target
     n = max(1, diff.size)
-    value = (diff * diff).sum() / n
+    value = float((diff * diff).sum()) / n
 
     def grad_fn(g: Array) -> None:
         ad.accumulate(pred, (float(g) * 2.0 / n) * diff)
 
-    return ad.result_of((pred,), np.asarray(value), grad_fn, name="mse")
+    return ad.result_of((pred,), ad.as_dtype_of(value, pred), grad_fn, name="mse")
 
 
 def attribute_loss(pred: Tensor, spec: AttributeSpec, target: Array) -> Tensor:
@@ -255,7 +255,8 @@ SHARED_DIMS = ("items", "latent")
 
 def checked_params(path: str, arrays: dict[str, Array], layouts: dict[str, dict]) -> Params:
     """``arrays`` as a store, once they are exactly the ``<prefix>.<field>``
-    arrays of ``layouts`` (prefix -> layout) with shapes that fit together."""
+    arrays of ``layouts`` (prefix -> layout), all float64, with shapes that
+    fit together."""
     expected = [f"{prefix}.{field}" for prefix, layout in layouts.items() for field in layout]
     missing = sorted(set(expected) - set(arrays))
     unexpected = sorted(set(arrays) - set(expected))
@@ -265,6 +266,8 @@ def checked_params(path: str, arrays: dict[str, Array], layouts: dict[str, dict]
     for prefix, layout in layouts.items():
         for field, dims in layout.items():
             name = f"{prefix}.{field}"
+            if arrays[name].dtype != np.float64:
+                raise DataError(f"{path}: array {name!r} has dtype {arrays[name].dtype.str}, not float64")
             shape = arrays[name].shape
             keys = [dim if dim in SHARED_DIMS else (prefix, dim) for dim in dims]
             fits = len(shape) == len(dims) and shape == tuple(sizes.setdefault(k, n) for k, n in zip(keys, shape))

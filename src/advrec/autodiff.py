@@ -1,4 +1,4 @@
-"""Reverse-mode automatic differentiation over dense float64 arrays.
+"""Reverse-mode automatic differentiation over dense float32 or float64 arrays.
 
 A small define-by-run tape, sufficient for MLP encoders, decoders and
 prediction heads, including the gradient reversal trick used for
@@ -6,6 +6,11 @@ adversarial attribute removal. Every primitive records a closure with its
 local gradient rule; ``Tape.backward`` replays the entries once, in
 reverse execution order, accumulating gradients additively at fan-out
 points.
+
+A graph runs in its leaves' dtype. A float32 array stays float32 on the
+tape and any other value becomes float64; a constant that an operation
+builds takes the dtype of the tensor it meets (:func:`as_dtype_of`). Each
+cast is written out, so that no result depends on numpy's promotion rules.
 """
 
 from __future__ import annotations
@@ -26,7 +31,8 @@ def as_f64(values) -> Array:
 
 
 class Tensor:
-    """A value on a :class:`Tape`: float64 data plus an accumulated gradient.
+    """A value on a :class:`Tape`: float32 or float64 data plus an
+    accumulated gradient of the same dtype.
 
     ``requires_grad`` is True for parameters and anything derived from one;
     constants (inputs, noise draws) carry False and are skipped during the
@@ -36,7 +42,8 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "tape", "name")
 
     def __init__(self, data, tape: "Tape", requires_grad: bool, name: str | None = None):
-        self.data = as_f64(data)
+        data = np.asarray(data, order="C")
+        self.data = data if data.dtype == np.float32 else as_f64(data)
         self.grad: Array | None = None
         self.requires_grad = requires_grad
         self.tape = tape
@@ -48,6 +55,12 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor({self.name or 'anon'}, shape={self.data.shape})"
+
+
+def as_dtype_of(values, t: Tensor) -> Array:
+    """``values`` as a row-major array of ``t``'s dtype (no copy when possible):
+    a constant takes the precision of the graph it meets."""
+    return np.asarray(values, dtype=t.data.dtype, order="C")
 
 
 class Tape:
@@ -182,14 +195,15 @@ def _expit(v: float) -> float:
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    """Logistic function, bit-identical to ``scipy.special.expit``.
+    """Logistic function: bit-identical to ``scipy.special.expit`` on float64
+    input, and on float32 input that float64 value rounded once to float32.
 
-    Each element is ``1 / (1 + exp(-v))`` with libm's ``exp``, as ``expit``
-    computes it; numpy's SIMD ``np.exp`` rounds some inputs differently.
-    The loop is in Python, which is cheap for its callers: the continuous
-    heads' (rows, 1) outputs.
+    Each element is ``1 / (1 + exp(-v))`` in float64 with libm's ``exp``, as
+    ``expit`` computes it; numpy's SIMD ``np.exp`` rounds some inputs
+    differently. The loop is in Python, which is cheap for its callers: the
+    continuous heads' (rows, 1) outputs.
     """
-    y = np.fromiter(map(_expit, x.data.ravel().tolist()), np.float64, x.data.size).reshape(x.data.shape)
+    y = np.fromiter(map(_expit, x.data.ravel().tolist()), x.data.dtype, x.data.size).reshape(x.data.shape)
 
     def grad_fn(g: Array) -> None:
         accumulate(x, y * (1.0 - y) * g)
@@ -219,7 +233,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 def mul_const(x: Tensor, c) -> Tensor:
     """Elementwise product with a constant scalar or same-shaped array."""
-    c = np.asarray(c, dtype=np.float64)
+    c = as_dtype_of(c, x)
     if c.ndim != 0 and c.shape != x.data.shape:
         raise DimensionError(f"mul_const: factor shape {c.shape} does not match {x.data.shape}")
 

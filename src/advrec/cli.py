@@ -42,9 +42,23 @@ def file_sha256(path: str) -> str:
     return digest.hexdigest()
 
 
+# The environment variables that set the BLAS thread count; with it, the last
+# bits of large matrix products change.
+BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "VECLIB_MAXIMUM_THREADS",
+                    "NUMEXPR_NUM_THREADS")
+
+
 def write_manifest(directory: str, config: dict, **extra) -> None:
+    """``manifest.json`` in ``directory``: the config, the seeds, the dataset's
+    hash and the environment that fixes a run's bits, then ``extra``."""
     manifest = {
         "artifact_version": __version__,
+        "environment": {
+            "python": ".".join(map(str, sys.version_info[:3])),
+            "numpy": np.__version__,
+            "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
+            "usable_cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
+        },
         "config": {key: value for key, value in config.items() if value is not None},
         "seeds": {
             "model": config["train.model_seed"],

@@ -98,8 +98,9 @@ def encode(x: Array, params: dict[str, Tensor], rng: np.random.Generator | None)
     if rng is not None:
         mask = rng.random(x.shape) < DROPOUT_KEEP
         xn = xn * mask / DROPOUT_KEEP
-    x_in = params["enc.hidden_w"].tape.constant(xn, name="x")
-    h = ad.tanh(ad.dense(x_in, params["enc.hidden_w"], params["enc.hidden_b"]))
+    w = params["enc.hidden_w"]
+    x_in = w.tape.constant(ad.as_dtype_of(xn, w), name="x")
+    h = ad.tanh(ad.dense(x_in, w, params["enc.hidden_b"]))
     mu = ad.dense(h, params["enc.mu_w"], params["enc.mu_b"])
     logsigma = ad.dense(h, params["enc.logsigma_w"], params["enc.logsigma_b"])
     return LatentState(mu=mu, logsigma=logsigma)
@@ -132,18 +133,19 @@ def multinomial_nll(logits: Tensor, x: Array) -> Tensor:
         raise DimensionError(f"logits shape {logits.data.shape} does not match x shape {x.shape}")
     batch = x.shape[0]
     if batch == 0:
-        return logits.tape.constant(np.asarray(0.0), name="nll")
+        return logits.tape.constant(ad.as_dtype_of(0.0, logits), name="nll")
+    x = ad.as_dtype_of(x, logits)
     shift = logits.data - logits.data.max(axis=1, keepdims=True)
     sumexp = np.exp(shift).sum(axis=1, keepdims=True)
     log_softmax = shift - np.log(sumexp)
-    value = -(x * log_softmax).sum() / batch
+    value = -float((x * log_softmax).sum()) / batch
     softmax = np.exp(log_softmax)
     row_counts = x.sum(axis=1, keepdims=True)
 
     def grad_fn(g: Array) -> None:
         ad.accumulate(logits, (float(g) / batch) * (row_counts * softmax - x))
 
-    return ad.result_of((logits,), np.asarray(value), grad_fn, name="nll")
+    return ad.result_of((logits,), ad.as_dtype_of(value, logits), grad_fn, name="nll")
 
 
 def kl_gaussian(mu: Tensor, logsigma: Tensor) -> Tensor:
@@ -154,15 +156,15 @@ def kl_gaussian(mu: Tensor, logsigma: Tensor) -> Tensor:
         )
     batch = mu.data.shape[0]
     if batch == 0:
-        return mu.tape.constant(np.asarray(0.0), name="kl")
+        return mu.tape.constant(ad.as_dtype_of(0.0, mu), name="kl")
     e2ls = np.exp(2.0 * logsigma.data)
-    value = 0.5 * (e2ls + mu.data**2 - 1.0 - 2.0 * logsigma.data).sum() / batch
+    value = 0.5 * float((e2ls + mu.data**2 - 1.0 - 2.0 * logsigma.data).sum()) / batch
 
     def grad_fn(g: Array) -> None:
         ad.accumulate(mu, (float(g) / batch) * mu.data)
         ad.accumulate(logsigma, (float(g) / batch) * (e2ls - 1.0))
 
-    return ad.result_of((mu, logsigma), np.asarray(value), grad_fn, name="kl")
+    return ad.result_of((mu, logsigma), ad.as_dtype_of(value, mu), grad_fn, name="kl")
 
 
 @dataclass
@@ -189,9 +191,12 @@ def multvae_loss(
 
 
 def _constants(params: dict[str, Array], prefixes: tuple[str, ...]) -> dict[str, Tensor]:
-    """The arrays of ``params`` under ``prefixes``, each lifted once onto a new tape as a constant."""
+    """The arrays of ``params`` under ``prefixes``, each lifted once onto a new
+    tape as a float64 constant: evaluation runs in float64 whatever the
+    store's dtype, so a model trained in float32 ranks as its float64 upcast."""
     tape = Tape()
-    return {name: tape.constant(arr, name=name) for name, arr in params.items() if name.startswith(prefixes)}
+    return {name: tape.constant(ad.as_f64(arr), name=name)
+            for name, arr in params.items() if name.startswith(prefixes)}
 
 
 def encode_eval(x: Array, params: dict[str, Array]) -> Array:

@@ -3,9 +3,12 @@
 Both phases are minibatch Adam through one loop, :func:`run_epoch`, with
 each phase supplying the graph of a batch. Every step writes into the
 arrays of the phase's one parameter store, in place, so a step allocates
-no parameter-sized array. The removal phase returns the one store that
-``TrainConfig.selection`` picks; only ``"best"`` copies it, at each
-validation improvement.
+no parameter-sized array. The removal phase trains its store in float32,
+which halves the memory traffic of Adam and of the dense layers, and
+returns the float64 upcast of the one store that ``TrainConfig.selection``
+picks; only ``"best"`` copies it, at each validation improvement.
+Everything that reads a trained model (validation, test ranking, the
+attack phase and checkpoints) runs in float64.
 
 The attack phase returns the test users' latent means with the
 predictions its attackers made from them: the one record of what an
@@ -37,7 +40,7 @@ from .data import FoldData, InteractionDataset, UserAttributes, class_weights
 from .errors import ConfigError, ContractError, TrainingDiverged
 
 
-ADAM_BLOCK = 16_384  # elements per Adam block: its two float64 scratch rows (256 KB) stay in L2
+ADAM_BLOCK = 32_768  # elements per Adam block: two scratch rows of 128 KB in float32 (256 KB in float64) stay in L2
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
@@ -52,7 +55,7 @@ ATTRIBUTES = {"gender": adv.CATEGORICAL, "age": adv.CONTINUOUS}
 class AdamState:
     """Adam at rate ``lr`` with the fixed ``ADAM_BETA1``/``ADAM_BETA2``/``ADAM_EPSILON``:
     moment accumulators, the shared step counter and the scratch rows of
-    one block, all allocated on the first step."""
+    one block, all allocated on the first step in the parameters' dtype."""
 
     lr: float
     step: int = 0
@@ -70,23 +73,28 @@ def adam_step(params: dict, grads: dict, state: AdamState) -> dict:
     array. Each block does the operations of the textbook formula in its
     order, ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g``,
     ``p -= (lr * (m/c1)) / (sqrt(v/c2) + eps)``, so the result is the same
-    to the bit. Every gradient and parameter is checked before anything is
-    written: a non-finite gradient raises ``TrainingDiverged`` and a
-    parameter that cannot be written in place raises ``ContractError``, each
-    naming the parameter and leaving the parameters, the moments and the
-    step count as they were.
+    to the bit, in float32 as in float64. Every gradient and parameter is
+    checked before anything is written: a non-finite gradient raises
+    ``TrainingDiverged``, and a missing gradient, one whose shape or dtype
+    differs from its parameter's, or a parameter that cannot be written in
+    place raises ``ContractError``, each naming the parameter and leaving
+    the parameters, the moments and the step count as they were.
     """
     for name, p in params.items():
-        if not np.isfinite(grads[name]).all():
+        g = grads.get(name)
+        if g is None or g.shape != p.shape or g.dtype != p.dtype:
+            found = "no gradient" if g is None else f"a gradient of shape {g.shape} and dtype {g.dtype}"
+            raise ContractError(f"parameter {name!r} of shape {p.shape} and dtype {p.dtype} has {found}")
+        if not np.isfinite(g).all():
             raise TrainingDiverged(f"non-finite gradient for parameter {name!r}")
         if not (p.flags.c_contiguous and p.flags.writeable):
             raise ContractError(f"parameter {name!r} must be a writeable C-contiguous array to be updated in place")
     state.step += 1
     corr1 = 1.0 - ADAM_BETA1**state.step
     corr2 = 1.0 - ADAM_BETA2**state.step
-    if state.scratch is None:
-        state.scratch = np.empty((2, ADAM_BLOCK))
     for name, p in params.items():
+        if state.scratch is None or state.scratch.dtype != p.dtype:
+            state.scratch = np.empty((2, ADAM_BLOCK), p.dtype)
         if name not in state.m:
             state.m[name] = np.zeros_like(p)
             state.v[name] = np.zeros_like(p)
@@ -255,10 +263,10 @@ def rank_test_fold(model: dict, dataset: InteractionDataset, fold: FoldData):
 
 @dataclass
 class TrainResult:
-    """``params`` is the store that ``config.selection`` picks: a copy taken
-    at ``best_epoch`` under ``"best"``, else (or with no validation) the store
-    as the last step left it. With no validation, ``best_epoch`` is the last
-    epoch and ``best_val_ndcg`` 0.0."""
+    """``params`` is the float64 upcast of the store that ``config.selection``
+    picks: a copy taken at ``best_epoch`` under ``"best"``, else (or with no
+    validation) the store as the last step left it. With no validation,
+    ``best_epoch`` is the last epoch and ``best_val_ndcg`` 0.0."""
 
     params: adv.Params
     best_epoch: int
@@ -273,12 +281,15 @@ def init_model(
     model_rng: np.random.Generator,
     adversary_rng: np.random.Generator,
 ) -> adv.Params:
-    """Encoder and decoder from the model stream, removal heads from the adversary stream."""
-    return adv.Params(
+    """Encoder and decoder from the model stream, removal heads from the
+    adversary stream, all drawn in float64 and then cast to the float32
+    store that the removal phase trains."""
+    drawn = {
         **mv.init_encoder(dataset.n_items, config.d_hidden, config.d_latent, model_rng),
         **mv.init_decoder(dataset.n_items, config.d_hidden, config.d_latent, model_rng),
         **adv.init_heads(specs, config.d_latent, config.d_adv_hidden, adversary_rng),
-    )
+    }
+    return adv.Params((name, arr.astype(np.float32)) for name, arr in drawn.items())
 
 
 def run_epoch(params: dict, n_rows: int, rng: np.random.Generator, batch_size: int, graph,
@@ -333,6 +344,9 @@ def train_adversarial_phase(
         named.update({f"adv_{name}": tensor for name, tensor in parts.adv.items()})
         return parts.loss, named, tape, leaves
 
+    def upcast(store):
+        return adv.Params((name, arr.astype(np.float64)) for name, arr in store.items())
+
     best_ndcg = -np.inf
     best_epoch = -1
     snapshot = None
@@ -349,14 +363,14 @@ def train_adversarial_phase(
                 best_ndcg = val_ndcg
                 best_epoch = epoch
                 if config.selection == "best":
-                    # every step writes the model's arrays in place, so the snapshot copies them
-                    snapshot = adv.Params({name: arr.copy() for name, arr in model.items()})
+                    # every step writes the model's arrays in place, so the snapshot is a copy
+                    snapshot = upcast(model)
         log.append(entry)
 
     if best_epoch < 0:
         best_epoch = config.epochs_adversarial - 1
         best_ndcg = 0.0
-    return TrainResult(params=model if snapshot is None else snapshot, best_epoch=best_epoch,
+    return TrainResult(params=upcast(model) if snapshot is None else snapshot, best_epoch=best_epoch,
                        best_val_ndcg=best_ndcg, log=log)
 
 

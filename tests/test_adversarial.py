@@ -189,6 +189,27 @@ def objective_grads(model, specs, x, targets, seed=11):
     return parts, {name: grad_map[leaf] for name, leaf in leaves.items()}
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+def test_total_objective_runs_in_the_dtype_of_its_store(dtype):
+    model = small_model()
+    store = {name: arr.astype(dtype) for name, arr in model.items()}
+    x = random_x(5, 8, seed=12)
+    targets = {"gender": np.array([0, 1, 1, 0, 1]), "age": np.random.default_rng(13).random(5)}
+    specs = [gender_spec(lam=40.0, weights=[0.7, 1.3]), age_spec(lam=40.0)]
+    parts, grads = objective_grads(store, specs, x, targets)
+    for tensor in (parts.loss, parts.mult, parts.nll, parts.kl, *parts.adv.values()):
+        assert tensor.data.shape == () and tensor.data.dtype == dtype, tensor
+    assert grads.keys() == model.keys()
+    for name, grad in grads.items():
+        assert grad.dtype == dtype and grad.shape == model[name].shape, name
+    # the float32 graph computes the float64 objective, to float32's precision
+    reference, reference_grads = objective_grads(model, specs, x, targets)
+    assert abs(float(parts.loss.data) - float(reference.loss.data)) <= 1e-5 * abs(float(reference.loss.data))
+    for name, grad in grads.items():
+        scale = np.abs(reference_grads[name]).max()
+        assert np.abs(grad - reference_grads[name]).max() <= 1e-4 * scale + 1e-7, name
+
+
 def test_total_objective_zero_lambda_matches_plain_model_gradients():
     model = small_model()
     x = random_x(5, 8, seed=6)
@@ -332,6 +353,16 @@ def test_checkpoint_with_a_malformed_header_fails_with_data_error(tmp_path, fiel
     meta[field] = value
     save_container(path, arrays, meta)
     with pytest.raises(DataError, match=f"model.ckpt.*{field}"):
+        adv.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("name, dtype", [("enc.hidden_w", np.bool_), ("dec.out_b", np.int64)])
+def test_checkpoint_with_weights_that_are_not_float64_fails_with_data_error(tmp_path, name, dtype):
+    model = small_model()
+    model[name] = model[name].astype(dtype)
+    path = str(tmp_path / "model.ckpt")
+    adv.save_checkpoint(path, model, {})  # the container stores |b1 and <i8 for other records
+    with pytest.raises(DataError, match=f"model.ckpt.*{name}.*float64"):
         adv.load_checkpoint(path)
 
 

@@ -78,6 +78,22 @@ def test_sigmoid_matches_scipy_expit_bit_for_bit(n):
     assert got.tobytes() == want.tobytes()
 
 
+def test_sigmoid_on_float32_rounds_the_float64_expit_once():
+    from scipy.special import expit
+
+    rng = np.random.default_rng(3)
+    draws = [rng.standard_normal(2000) * scale for scale in (1e-4, 1.0, 10.0, 40.0, 300.0)]
+    edges = [0.0, -0.0, -103.9, -104.0, 88.8, -745.0, 746.0, np.inf, -np.inf, np.nan]
+    x = np.concatenate(draws + [np.array(edges)]).astype(np.float32)[:, None]
+    with np.errstate(all="ignore"):
+        want = expit(x.astype(np.float64)).astype(np.float32)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = ad.sigmoid(ad.Tape().constant(x)).data
+    assert got.dtype == np.float32
+    assert got.tobytes() == want.tobytes()
+
+
 def test_grl_forward_is_identity_bitwise():
     tape = ad.Tape()
     x = tape.leaf([1.0, -2.0, 3.0])

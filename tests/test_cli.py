@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import subprocess
 import sys
 
@@ -247,8 +248,10 @@ def test_preprocess_rejects_out_of_range_settings(tmp_path, capsys, settings):
     assert list(settings)[-1] in capsys.readouterr().err
 
 
-def test_full_single_run_pipeline(workspace, capsys):
+def test_full_single_run_pipeline(workspace, capsys, monkeypatch):
     tmp_path, config = workspace
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
     assert main(["preprocess", "--config", str(config)]) == 0
 
     # eval before training: clear error
@@ -262,6 +265,14 @@ def test_full_single_run_pipeline(workspace, capsys):
     assert manifest["model"] == "MultVAE"
     assert manifest["artifact_version"]
     assert "dataset_sha256" in manifest
+    environment = manifest["environment"]
+    assert environment["python"] == ".".join(map(str, sys.version_info[:3]))
+    assert environment["numpy"] == np.__version__
+    assert sorted(environment["blas_threads"]) == sorted(["OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                                                          "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"])
+    assert environment["blas_threads"]["OPENBLAS_NUM_THREADS"] == "1"
+    assert environment["blas_threads"]["MKL_NUM_THREADS"] is None
+    assert 1 <= environment["usable_cpus"] <= os.cpu_count()
     log_rows = read_csv(run_dir / "train_log.csv")
     assert len(log_rows) == 3
 

@@ -71,18 +71,21 @@ def reference_adam_step(params, grads, state, moments):
     return updated
 
 
-def test_fused_adam_matches_the_textbook_formula_bit_for_bit():
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+def test_fused_adam_matches_the_textbook_formula_bit_for_bit(dtype):
     rng = np.random.default_rng(5)
     shapes = {"one": (1,), "short": (tr.ADAM_BLOCK - 1,), "block": (tr.ADAM_BLOCK,),
               "over": (tr.ADAM_BLOCK + 3,), "weight": (130, 257)}
-    params = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
+    params = {name: rng.standard_normal(shape).astype(dtype) for name, shape in shapes.items()}
     expected = {name: p.copy() for name, p in params.items()}
     state, moments = tr.AdamState(lr=3e-3), {}
     for _ in range(6):
-        grads = {name: rng.standard_normal(shape) * rng.choice([1e-6, 1.0, 1e3]) for name, shape in shapes.items()}
+        grads = {name: (rng.standard_normal(shape) * rng.choice([1e-6, 1.0, 1e3])).astype(dtype)
+                 for name, shape in shapes.items()}
         expected = reference_adam_step(expected, grads, state, moments)
         assert tr.adam_step(params, grads, state) is params
         for name in shapes:
+            assert params[name].dtype == state.m[name].dtype == state.scratch.dtype == dtype, name
             assert params[name].tobytes() == expected[name].tobytes(), name
             assert state.m[name].tobytes() == moments[name][0].tobytes(), name
             assert state.v[name].tobytes() == moments[name][1].tobytes(), name
@@ -106,6 +109,32 @@ def test_adam_step_with_a_non_finite_last_gradient_changes_nothing():
     for name, arrays in before.items():
         for old, new in zip(arrays, (params[name], state.m[name], state.v[name])):
             assert old.tobytes() == new.tobytes(), name
+
+
+@pytest.mark.parametrize("name, grad", [
+    ("wide", np.ones((3, 4), np.float32)),  # same size, another layout
+    ("wide", np.ones((2, 6), np.float64)),  # would be cast through out=
+    ("short", np.ones(5, np.float32)),
+    ("short", None),
+], ids=["layout", "dtype", "size", "missing"])
+def test_adam_step_rejects_a_gradient_that_does_not_match_its_parameter(name, grad):
+    rng = np.random.default_rng(7)
+    params = {field: rng.standard_normal(shape).astype(np.float32)
+              for field, shape in {"first": (5,), "wide": (2, 6), "short": (4,)}.items()}
+    state = tr.AdamState(lr=1e-3)
+    tr.adam_step(params, {field: np.ones_like(p) for field, p in params.items()}, state)
+    before = {field: (params[field].copy(), state.m[field].copy(), state.v[field].copy()) for field in params}
+    grads = {field: np.ones_like(p) for field, p in params.items()}
+    grads[name] = grad
+    if grad is None:
+        del grads[name]
+    with pytest.raises(ContractError) as err:
+        tr.adam_step(params, grads, state)
+    assert f"'{name}'" in str(err.value)
+    assert state.step == 1
+    for field, arrays in before.items():
+        for old, new in zip(arrays, (params[field], state.m[field], state.v[field])):
+            assert old.tobytes() == new.tobytes(), field
 
 
 def test_adam_zero_gradient_leaves_parameters_unchanged():
@@ -245,9 +274,24 @@ def test_no_parameter_store_outlives_its_step(monkeypatch):
     monkeypatch.setattr(tr, "adam_step", checked_step)
     result = tr.train_adversarial_phase(dataset, attrs, fold, config)
     assert same_arrays == [True] * 4
-    assert all(result.params[name] is arr for name, arr in initial.items())
+    # the phase steps one float32 store in place and returns its float64 upcast
+    assert all(arr.dtype == np.float32 for arr in initial.values())
+    assert result.params.keys() == initial.keys()
+    for name, arr in initial.items():
+        assert result.params[name].tobytes() == arr.astype(np.float64).tobytes(), name
     largest = max(arr.nbytes for arr in initial.values())
     assert peaks and max(peaks) < largest, (max(peaks), largest)
+
+
+@pytest.mark.parametrize("selection", ["best", "final"])
+def test_removal_phase_returns_float64_upcasts_of_a_float32_store(selection):
+    dataset, attrs, fold, config = tiny_setup(epochs_adversarial=3, val_every=1, selection=selection,
+                                              lambdas={"gender": 1.0, "age": 1.0})
+    result = tr.train_adversarial_phase(dataset, attrs, fold, config)
+    assert result.params and all(name.startswith(("enc.", "dec.", "head.")) for name in result.params)
+    for name, arr in result.params.items():
+        assert arr.dtype == np.float64, name
+        assert arr.astype(np.float32).astype(np.float64).tobytes() == arr.tobytes(), name
 
 
 def test_best_selection_returns_the_store_of_a_run_stopped_at_the_best_epoch():
