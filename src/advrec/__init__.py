@@ -1,3 +1,3 @@
 """Adversarial unlearning of protected user attributes from a VAE recommender."""
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

@@ -10,8 +10,10 @@ encoder's latent means.
 A model's parameters live in a :class:`Params` store: ``enc.<field>`` and
 ``dec.<field>`` for the recommender, ``head.<attr>.<field>`` for its removal
 heads, with fields as ``multvae.ENCODER``, ``multvae.DECODER`` and ``HEAD``
-lay them out; the attack phase keeps its heads, named alike, in a store of
-their own. This module owns those names and the checkpoint files. As in
+lay them out. The removal heads live only in the removal phase's store:
+what the phase hands on, and what a checkpoint holds, is the recommender
+alone. The attack phase keeps its heads, named alike, in a store of its
+own. This module owns those names and the checkpoint files. As in
 :mod:`multvae`, the joint objective trains given an ``rng`` and evaluates
 without one.
 """
@@ -253,10 +255,11 @@ def attacker_loss_graph(
 SHARED_DIMS = ("items", "latent")
 
 
-def checked_params(path: str, arrays: dict[str, Array], layouts: dict[str, dict]) -> Params:
-    """``arrays`` as a store, once they are exactly the ``<prefix>.<field>``
-    arrays of ``layouts`` (prefix -> layout), all float64, with shapes that
-    fit together."""
+def checked_params(path: str, arrays: dict[str, Array]) -> Params:
+    """``arrays`` as a store, once they are exactly the recommender's
+    ``enc.<field>`` and ``dec.<field>`` arrays, all float64, with shapes
+    that fit together."""
+    layouts = {"enc": mv.ENCODER, "dec": mv.DECODER}
     expected = [f"{prefix}.{field}" for prefix, layout in layouts.items() for field in layout]
     missing = sorted(set(expected) - set(arrays))
     unexpected = sorted(set(arrays) - set(expected))
@@ -280,21 +283,15 @@ CHECKPOINT_KIND = "model-checkpoint"
 
 
 def save_checkpoint(path: str, model: dict[str, Array], config_meta: dict) -> None:
-    meta = {
-        "kind": CHECKPOINT_KIND,
-        "config": config_meta,
-        "head_names": sorted({name.split(".")[1] for name in model if name.startswith("head.")}),
-    }
-    save_container(path, {name: np.asarray(arr) for name, arr in model.items()}, meta)
+    save_container(path, {name: np.asarray(arr) for name, arr in model.items()},
+                   {"kind": CHECKPOINT_KIND, "config": config_meta})
 
 
 def load_checkpoint(path: str) -> tuple[Params, dict]:
     arrays, meta = load_container(path)
     if meta.get("kind") != CHECKPOINT_KIND:
         raise DataError(f"{path}: not a model checkpoint")
-    head_names, config = meta.get("head_names", []), meta.get("config", {})
-    if not (isinstance(head_names, list) and all(isinstance(h, str) for h in head_names) and isinstance(config, dict)):
-        raise DataError(f"{path}: checkpoint header needs a 'head_names' list of strings and a 'config' object")
-    layouts = {"enc": mv.ENCODER, "dec": mv.DECODER, **{f"head.{h}": HEAD for h in head_names}}
-    return checked_params(path, arrays, layouts), config
-
+    config = meta.get("config", {})
+    if not isinstance(config, dict):
+        raise DataError(f"{path}: checkpoint header needs a 'config' object")
+    return checked_params(path, arrays), config

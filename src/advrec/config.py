@@ -108,14 +108,15 @@ def grid_configs(config: dict) -> list[TrainConfig]:
     ``grid.<attr>`` values, the last attribute in ``ATTRIBUTES`` order
     varying fastest. The units differ from ``train_config(config)`` only in
     their lambda maps, which hold the grid's attributes alone. An attribute's
-    values must differ in their ``training.combo_label``, which names a
-    unit's output directory."""
+    values must differ as numbers, so that no combination trains twice, and
+    in their ``training.combo_label``, which names a unit's output
+    directory."""
     grid = {attr: config[f"grid.{attr}"] for attr in ATTRIBUTES if config[f"grid.{attr}"] is not None}
     if not grid:
         raise ConfigError("grid command needs at least one grid.<attribute> key")
     for attr, values in grid.items():
-        if len({combo_label({attr: value}) for value in values}) < len(values):
-            raise ConfigError(f"grid.{attr} lists {values}, two of which would write one output directory")
+        if min(len(set(values)), len({combo_label({attr: value}) for value in values})) < len(values):
+            raise ConfigError(f"grid.{attr} lists {values}, two of which are one value or share an output directory")
     base = train_config(config)
     units = []
     for values in itertools.product(*grid.values()):

@@ -5,10 +5,11 @@ each phase supplying the graph of a batch. Every step writes into the
 arrays of the phase's one parameter store, in place, so a step allocates
 no parameter-sized array. The removal phase trains its store in float32,
 which halves the memory traffic of Adam and of the dense layers, and
-returns the float64 upcast of the one store that ``TrainConfig.selection``
-picks; only ``"best"`` copies it, at each validation improvement.
-Everything that reads a trained model (validation, test ranking, the
-attack phase and checkpoints) runs in float64.
+returns the float64 upcast of the recommender (encoder and decoder) in the
+one store that ``TrainConfig.selection`` picks; only ``"best"`` copies it,
+at each validation improvement. The removal heads and their Adam moments
+end with the phase. Everything that reads a trained model (validation,
+test ranking, the attack phase and checkpoints) runs in float64.
 
 The attack phase returns the test users' latent means with the
 predictions its attackers made from them: the one record of what an
@@ -25,7 +26,6 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import functools
-import hashlib
 import multiprocessing
 import traceback
 from concurrent.futures import ProcessPoolExecutor
@@ -214,14 +214,6 @@ def build_specs(
     return specs
 
 
-def params_hash(named_iter) -> str:
-    digest = hashlib.sha256()
-    for name, arr in sorted(named_iter):
-        digest.update(name.encode())
-        digest.update(np.ascontiguousarray(arr).tobytes())
-    return digest.hexdigest()
-
-
 EVAL_CHUNK = 1024  # users per dense matrix at evaluation, which bounds its memory
 
 
@@ -263,10 +255,11 @@ def rank_test_fold(model: dict, dataset: InteractionDataset, fold: FoldData):
 
 @dataclass
 class TrainResult:
-    """``params`` is the float64 upcast of the store that ``config.selection``
-    picks: a copy taken at ``best_epoch`` under ``"best"``, else (or with no
-    validation) the store as the last step left it. With no validation,
-    ``best_epoch`` is the last epoch and ``best_val_ndcg`` 0.0."""
+    """``params`` is the float64 upcast of the recommender's arrays in the
+    store that ``config.selection`` picks: a copy taken at ``best_epoch``
+    under ``"best"``, else (or with no validation) the store as the last step
+    left it. With no validation, ``best_epoch`` is the last epoch and
+    ``best_val_ndcg`` 0.0."""
 
     params: adv.Params
     best_epoch: int
@@ -344,8 +337,9 @@ def train_adversarial_phase(
         named.update({f"adv_{name}": tensor for name, tensor in parts.adv.items()})
         return parts.loss, named, tape, leaves
 
-    def upcast(store):
-        return adv.Params((name, arr.astype(np.float64)) for name, arr in store.items())
+    def recommender(store):
+        return adv.Params((name, arr.astype(np.float64)) for name, arr in store.items()
+                          if name.startswith(("enc.", "dec.")))
 
     best_ndcg = -np.inf
     best_epoch = -1
@@ -364,13 +358,13 @@ def train_adversarial_phase(
                 best_epoch = epoch
                 if config.selection == "best":
                     # every step writes the model's arrays in place, so the snapshot is a copy
-                    snapshot = upcast(model)
+                    snapshot = recommender(model)
         log.append(entry)
 
     if best_epoch < 0:
         best_epoch = config.epochs_adversarial - 1
         best_ndcg = 0.0
-    return TrainResult(params=upcast(model) if snapshot is None else snapshot, best_epoch=best_epoch,
+    return TrainResult(params=recommender(model) if snapshot is None else snapshot, best_epoch=best_epoch,
                        best_val_ndcg=best_ndcg, log=log)
 
 

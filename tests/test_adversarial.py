@@ -36,6 +36,11 @@ def small_model(n_items=8, d_hidden=6, d_latent=4, adv_hidden=5, seed=0):
     )
 
 
+def small_recommender(seed=0):
+    """The encoder and decoder of ``small_model``: what a checkpoint holds."""
+    return adv.Params((name, arr) for name, arr in small_model(seed=seed).items() if name.startswith(("enc.", "dec.")))
+
+
 def random_x(n_rows, n_items, seed=0):
     rng = np.random.default_rng(seed)
     x = (rng.random((n_rows, n_items)) < 0.4).astype(np.float64)
@@ -326,9 +331,10 @@ def test_attacker_on_label_revealing_latents_learns():
 
 
 def test_checkpoint_roundtrip_is_bit_exact(tmp_path):
-    model = small_model(seed=42)
+    model = small_recommender(seed=42)
     path = str(tmp_path / "model.ckpt")
     adv.save_checkpoint(path, model, {"d_latent": 4})
+    assert load_container(path)[1] == {"kind": adv.CHECKPOINT_KIND, "config": {"d_latent": 4}}
     loaded, config = adv.load_checkpoint(path)
     assert config == {"d_latent": 4}
     assert sorted(loaded) == sorted(model)
@@ -337,7 +343,7 @@ def test_checkpoint_roundtrip_is_bit_exact(tmp_path):
 
 
 def test_checkpoint_missing_array_fails_with_data_error(tmp_path):
-    arrays = dict(small_model())
+    arrays = dict(small_recommender())
     del arrays["enc.mu_b"]
     path = str(tmp_path / "model.ckpt")
     adv.save_checkpoint(path, arrays, {})
@@ -345,10 +351,10 @@ def test_checkpoint_missing_array_fails_with_data_error(tmp_path):
         adv.load_checkpoint(path)
 
 
-@pytest.mark.parametrize("field, value", [("head_names", 5), ("head_names", [5]), ("config", [])])
+@pytest.mark.parametrize("field, value", [("config", "text"), ("config", 5), ("config", [])])
 def test_checkpoint_with_a_malformed_header_fails_with_data_error(tmp_path, field, value):
     path = str(tmp_path / "model.ckpt")
-    adv.save_checkpoint(path, small_model(), {})
+    adv.save_checkpoint(path, small_recommender(), {})
     arrays, meta = load_container(path)
     meta[field] = value
     save_container(path, arrays, meta)
@@ -358,7 +364,7 @@ def test_checkpoint_with_a_malformed_header_fails_with_data_error(tmp_path, fiel
 
 @pytest.mark.parametrize("name, dtype", [("enc.hidden_w", np.bool_), ("dec.out_b", np.int64)])
 def test_checkpoint_with_weights_that_are_not_float64_fails_with_data_error(tmp_path, name, dtype):
-    model = small_model()
+    model = small_recommender()
     model[name] = model[name].astype(dtype)
     path = str(tmp_path / "model.ckpt")
     adv.save_checkpoint(path, model, {})  # the container stores |b1 and <i8 for other records
@@ -367,9 +373,9 @@ def test_checkpoint_with_weights_that_are_not_float64_fails_with_data_error(tmp_
 
 
 @pytest.mark.parametrize("name, shape", [("enc.mu_b", (3,)), ("dec.out_w", (5, 8)),
-                                         ("head.age.hidden_w", (3, 5)), ("enc.hidden_b", (6, 1))])
+                                         ("dec.hidden_w", (3, 6)), ("enc.hidden_b", (6, 1))])
 def test_checkpoint_with_shapes_that_do_not_fit_fails_with_data_error(tmp_path, name, shape):
-    model = small_model()
+    model = small_recommender()
     model[name] = np.zeros(shape)
     path = str(tmp_path / "model.ckpt")
     adv.save_checkpoint(path, model, {})

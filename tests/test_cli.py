@@ -7,6 +7,8 @@ import sys
 import numpy as np
 import pytest
 
+from advrec import adversarial as adv
+from advrec import multvae as mv
 from advrec.cli import main
 from advrec.container import MAGIC, load_container, save_container
 from advrec.data import load_cache
@@ -152,8 +154,10 @@ def test_train_rejects_out_of_range_settings(tmp_path, capsys, key, value):
     # two units of one grid would write the same directory
     ("grid", {"grid.gender": "400,0,400"}, "grid.gender"),
     ("grid", {"grid.age": "0.1234567,0.1234568"}, "grid.age"),
+    # two labels of one value would train one combination twice
+    ("grid", {"grid.gender": "0,-0"}, "grid.gender"),
 ], ids=["train", "grid", "grid.gender=0,-1", "grid.gender=0,nan", "grid.gender=400,0,400",
-        "grid.age=0.1234567,0.1234568"])
+        "grid.age=0.1234567,0.1234568", "grid.gender=0,-0"])
 def test_settings_are_checked_before_the_data_is_read(tmp_path, capsys, command, settings, named):
     config = write_config(tmp_path, **settings)
     assert main([command, "--config", str(config)]) == 2  # no cache exists, and the setting is named first
@@ -447,6 +451,34 @@ def test_commands_reject_a_checkpoint_trained_with_other_settings(workspace, cap
     run_dir = tmp_path / "runs" / "AdvMultVAE-G" / "fold0"
     assert str(run_dir / "checkpoint.bin") in err and trained in err and wanted in err
     assert sorted(path.name for path in run_dir.iterdir()) == ["checkpoint.bin", "manifest.json", "train_log.csv"]
+
+
+def test_checkpoint_holds_the_recommender_alone(workspace):
+    tmp_path, config = workspace
+    assert main(["preprocess", "--config", str(config)]) == 0
+    assert main(["train", "--config", str(config), "--lambda", "gender=100", "--lambda", "age=100"]) == 0
+    arrays, meta = load_container(tmp_path / "runs" / "AdvXMultVAE" / "fold0" / "checkpoint.bin")
+    assert sorted(arrays) == sorted([f"enc.{field}" for field in mv.ENCODER] + [f"dec.{field}" for field in mv.DECODER])
+    assert all(arr.dtype == np.float64 for arr in arrays.values())
+    assert sorted(meta) == ["config", "kind"]
+
+
+@pytest.mark.parametrize("command", ["attack", "eval"])
+def test_commands_reject_a_checkpoint_that_holds_removal_heads(workspace, capsys, command):
+    tmp_path, config = workspace
+    assert main(["preprocess", "--config", str(config)]) == 0
+    assert main(["train", "--config", str(config)]) == 0
+    path = tmp_path / "runs" / "MultVAE" / "fold0" / "checkpoint.bin"
+    # the layout of a checkpoint from before 0.3.0: the removal heads beside the recommender
+    arrays, meta = load_container(path)
+    specs = [adv.AttributeSpec(name="gender", kind=adv.CATEGORICAL, n_classes=2),
+             adv.AttributeSpec(name="age", kind=adv.CONTINUOUS)]
+    arrays.update(adv.init_heads(specs, arrays["enc.mu_b"].shape[0], 6, np.random.default_rng(0)))
+    save_container(path, arrays, dict(meta, head_names=["age", "gender"]))
+    capsys.readouterr()
+    assert main([command, "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "head.gender.hidden_w" in err
 
 
 def test_attack_sizes_its_heads_by_the_checkpoint_not_the_config(workspace):
