@@ -23,7 +23,7 @@ from . import config as cf
 from . import data as dp
 from . import evaluation as ev
 from . import training as tr
-from .container import atomic_open, load_container, save_container
+from .container import atomic_open, load_container, make_dirs, save_container
 from .errors import AdvrecError, ConfigError, DataError
 
 log = logging.getLogger("advrec")
@@ -97,11 +97,11 @@ class FoldRun:
     @classmethod
     def of(cls, config: dict) -> "FoldRun":
         train = cf.train_config(config)  # checks the seeds before make_folds uses one
+        n_folds, fold_index = cf.fold_count(config), config["train.fold"]
+        if not 0 <= fold_index < n_folds:
+            raise ConfigError(f"train.fold={fold_index} outside 0..{n_folds - 1}")
         dataset, attrs = load_dataset(config)
-        splits = dp.make_folds(dataset.n_users, train.data_seed, config["train.n_folds"])
-        fold_index = config["train.fold"]
-        if not 0 <= fold_index < len(splits):
-            raise ConfigError(f"train.fold={fold_index} outside 0..{len(splits) - 1}")
+        splits = dp.make_folds(dataset.n_users, train.data_seed, n_folds)
         fold = dp.prepare_fold(dataset, splits[fold_index], dp.HOLDOUT_RATIO, train.data_seed)
         label = tr.model_label(train.lambdas)
         return cls(config, dataset, attrs, fold, train, label,
@@ -180,6 +180,7 @@ def cmd_preprocess(config: dict) -> int:
 
 def cmd_train(config: dict) -> int:
     run = FoldRun.of(config)
+    make_dirs(run.out_dir)  # an unusable output path fails before training
     log.info("training %s on fold %d (%d train users)", run.label, run.fold.index, len(run.fold.split.train))
     result = tr.train_adversarial_phase(run.dataset, run.attrs, run.fold, run.train)
     adv.save_checkpoint(os.path.join(run.out_dir, "checkpoint.bin"), result.params, run.train.to_meta())
@@ -218,16 +219,18 @@ def cmd_eval(config: dict) -> int:
 def cmd_grid(config: dict, workers: int) -> int:
     if workers < 1:
         raise ConfigError(f"--workers must be >= 1, got {workers}")
-    units = cf.grid_configs(config)  # every unit's settings are checked before the data is read
+    # every unit's settings and the fold count are checked before the data is read
+    units, n_folds = cf.grid_configs(config), cf.fold_count(config)
     train_config = units[0]  # the units differ only in their lambdas
     dataset, attrs = load_dataset(config)
-    splits = dp.make_folds(dataset.n_users, train_config.data_seed, config["train.n_folds"])
+    splits = dp.make_folds(dataset.n_users, train_config.data_seed, n_folds)
     folds = [dp.prepare_fold(dataset, split, dp.HOLDOUT_RATIO, train_config.data_seed) for split in splits]
+    grid_dir = os.path.join(config["out.dir"], "grid")
+    make_dirs(grid_dir)  # an unusable output path fails before the first unit trains
     log.info("grid: %d combinations x %d folds, %d workers", len(units), len(folds), workers)
     outcome = tr.grid_search(
         dataset, attrs, units, folds, dataset_name=config["data.name"], workers=workers
     )
-    grid_dir = os.path.join(config["out.dir"], "grid")
     if outcome.records:
         ev.write_rows_csv(os.path.join(grid_dir, "results.csv"), [r.result_row() for r in outcome.records])
     for record in outcome.records:

@@ -2,13 +2,13 @@
 
 A run configuration is a plain dict holding every ``SCHEMA`` key, in schema
 order, with ``None`` for a key that has no default and was not configured.
-Every key is validated against the schema before any work starts; unknown
+Every key is checked against the schema before any work starts; unknown
 keys are errors. Command-line flags override file values. The
 ``lambda.<attr>`` and ``grid.<attr>`` keys are generated from
 ``training.ATTRIBUTES``, whose order fixes the order of the lambda map.
 :func:`train_config` turns a run configuration into the ``TrainConfig`` of
-one run, and :func:`grid_configs` into the validated ``TrainConfig`` of
-every unit of a grid.
+one run, and :func:`grid_configs` into the ``TrainConfig`` of every unit of
+a grid; a ``TrainConfig`` is checked when built.
 """
 
 from __future__ import annotations
@@ -97,14 +97,19 @@ def lambdas(config: dict) -> dict[str, float]:
     return {attr: config[f"lambda.{attr}"] for attr in ATTRIBUTES if config[f"lambda.{attr}"] is not None}
 
 
+def fold_count(config: dict) -> int:
+    """``train.n_folds``, which must be at least 1."""
+    if config["train.n_folds"] < 1:
+        raise ConfigError(f"train.n_folds must be >= 1, got {config['train.n_folds']}")
+    return config["train.n_folds"]
+
+
 def train_config(config: dict) -> TrainConfig:
-    train = TrainConfig(**{f.name: config[f"train.{f.name}"] for f in TRAIN_FIELDS}, lambdas=lambdas(config))
-    train.validate()
-    return train
+    return TrainConfig(**{f.name: config[f"train.{f.name}"] for f in TRAIN_FIELDS}, lambdas=lambdas(config))
 
 
 def grid_configs(config: dict) -> list[TrainConfig]:
-    """One validated ``TrainConfig`` per combination of the configured
+    """One ``TrainConfig`` per combination of the configured
     ``grid.<attr>`` values, the last attribute in ``ATTRIBUTES`` order
     varying fastest. The units differ from ``train_config(config)`` only in
     their lambda maps, which hold the grid's attributes alone. An attribute's
@@ -118,12 +123,7 @@ def grid_configs(config: dict) -> list[TrainConfig]:
         if min(len(set(values)), len({combo_label({attr: value}) for value in values})) < len(values):
             raise ConfigError(f"grid.{attr} lists {values}, two of which are one value or share an output directory")
     base = train_config(config)
-    units = []
-    for values in itertools.product(*grid.values()):
-        unit = dataclasses.replace(base, lambdas=dict(zip(grid, values)))
-        unit.validate()
-        units.append(unit)
-    return units
+    return [dataclasses.replace(base, lambdas=dict(zip(grid, values))) for values in itertools.product(*grid.values())]
 
 
 def apply_seed(config: dict, seed: int) -> None:

@@ -13,7 +13,6 @@ import contextlib
 import json
 import math
 import os
-import tempfile
 
 import numpy as np
 
@@ -26,20 +25,34 @@ _ALLOWED_DTYPES = ("<f8", "<i8", "|b1")  # a tuple, so that any JSON value can b
 _ENTRY_KEYS = {"name", "dtype", "shape", "offset", "nbytes"}
 
 
+def make_dirs(directory: str) -> None:
+    """``os.makedirs(directory, exist_ok=True)``; an ``OSError`` becomes a
+    ``DataError`` that names ``directory``."""
+    try:
+        os.makedirs(directory, exist_ok=True)
+    except OSError as err:
+        raise DataError(f"cannot make directory {directory!r}: {err}") from None
+
+
 @contextlib.contextmanager
 def atomic_open(path: str, mode: str = "w"):
     """A temporary file beside ``path`` that replaces it when the block ends,
-    and is removed if the block fails. Text is UTF-8, newlines as written."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    and is removed if the block fails. Text is UTF-8, newlines as written.
+    The file's mode follows the umask, as with ``open``, and an ``OSError``
+    becomes a ``DataError`` that names ``path``."""
+    directory = os.path.dirname(os.path.abspath(path))
+    make_dirs(directory)
+    tmp = os.path.join(directory, f"tmp{os.urandom(8).hex()}.tmp")  # a unique sibling, created with O_EXCL
     try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         with os.fdopen(fd, mode, **({} if "b" in mode else {"encoding": "utf-8", "newline": ""})) as fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as err:
         if os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(err, OSError):
+            raise DataError(f"cannot write {path!r}: {err}") from None
         raise
 
 
@@ -104,9 +117,14 @@ def _checked_header(path: str, raw: bytes) -> dict:
 
 def load_container(path: str) -> tuple[dict[str, np.ndarray], dict]:
     """The arrays and the metadata of the container at ``path``. Each array
-    is read straight into its own new, writeable array."""
+    is read straight into its own new, writeable array. A file that cannot
+    be opened fails with a ``DataError`` that names it."""
     arrays = {}
-    with open(path, "rb") as fh:
+    try:
+        fh = open(path, "rb")
+    except OSError as err:
+        raise DataError(f"cannot read {path!r}: {err}") from None
+    with fh:
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
             raise DataError(f"{path}: not a recognized container file")

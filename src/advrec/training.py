@@ -119,9 +119,9 @@ def adam_step(params: dict, grads: dict, state: AdamState) -> dict:
     return params
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
-    """All knobs for one training run; defaults follow the reference protocol."""
+    """All knobs for one training run, checked when built; defaults follow the reference protocol."""
 
     epochs_adversarial: int = 200
     epochs_attack: int = 50
@@ -140,7 +140,7 @@ class TrainConfig:
     adversary_seed: int = 2
     lambdas: dict = field(default_factory=dict)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         # each bound is written as "in range" and negated, so that NaN fails it too
         for name, ok, bound in [
             ("epochs_adversarial", self.epochs_adversarial >= 1, ">= 1"),
@@ -316,7 +316,6 @@ def train_adversarial_phase(
     dataset: InteractionDataset, attrs: UserAttributes, fold: FoldData, config: TrainConfig
 ) -> TrainResult:
     """Joint minimization of the recommender loss and the reversed head losses of ``config.lambdas``."""
-    config.validate()
     specs = build_specs(attrs, config.lambdas, fold.split.train, config.continuous_head)
     model_rng = np.random.default_rng(config.model_seed)
     data_rng = np.random.default_rng(config.data_seed)
@@ -387,7 +386,6 @@ def train_attack_phase(
     All attackers share one tape per batch and one optimizer; their losses
     are independent, so each learns as if alone.
     """
-    config.validate()
     specs = build_specs(attrs, config.lambdas, fold.split.train, config.continuous_head)
     head_rng = np.random.default_rng([config.adversary_seed, 1001])
     shuffle_rng = np.random.default_rng([config.data_seed, 1001])

@@ -9,6 +9,7 @@ import pytest
 
 from advrec import adversarial as adv
 from advrec import multvae as mv
+from advrec import training as tr
 from advrec.cli import main
 from advrec.container import MAGIC, load_container, save_container
 from advrec.data import load_cache
@@ -156,8 +157,14 @@ def test_train_rejects_out_of_range_settings(tmp_path, capsys, key, value):
     ("grid", {"grid.age": "0.1234567,0.1234568"}, "grid.age"),
     # two labels of one value would train one combination twice
     ("grid", {"grid.gender": "0,-0"}, "grid.gender"),
+    # the fold settings are named before the cache is looked for
+    ("train", {"train.fold": "7"}, "train.fold"),
+    ("eval", {"train.fold": "-1"}, "train.fold"),
+    ("train", {"train.n_folds": "0"}, "n_folds"),
+    ("grid", {"train.n_folds": "0", "grid.gender": "0,60"}, "n_folds"),
 ], ids=["train", "grid", "grid.gender=0,-1", "grid.gender=0,nan", "grid.gender=400,0,400",
-        "grid.age=0.1234567,0.1234568", "grid.gender=0,-0"])
+        "grid.age=0.1234567,0.1234568", "grid.gender=0,-0", "train.fold=7", "eval.train.fold=-1",
+        "train.n_folds=0", "grid.n_folds=0"])
 def test_settings_are_checked_before_the_data_is_read(tmp_path, capsys, command, settings, named):
     config = write_config(tmp_path, **settings)
     assert main([command, "--config", str(config)]) == 2  # no cache exists, and the setting is named first
@@ -228,6 +235,48 @@ def test_a_corrupt_cache_header_exits_2_naming_the_cache(workspace, capsys):
     capsys.readouterr()
     assert main(["train", "--config", str(config)]) == 2
     assert str(cache) in capsys.readouterr().err
+
+
+def _fail_if_called(*args, **kwargs):
+    raise AssertionError("ran despite an output path that cannot be written")
+
+
+@pytest.mark.parametrize("command, unusable", [
+    ("train", "out.dir"), ("grid", "out.dir"), ("preprocess", "data.cache"),
+], ids=["train", "grid", "preprocess"])
+def test_an_unusable_output_path_exits_2_naming_it(workspace, capsys, monkeypatch, command, unusable):
+    tmp_path, config = workspace
+    assert main(["preprocess", "--config", str(config)]) == 0
+    path = tmp_path / "unusable"
+    if unusable == "out.dir":
+        path.write_text("a file, not a directory\n")  # train and grid find it before any unit trains
+        monkeypatch.setattr(tr, "train_adversarial_phase", _fail_if_called)
+        monkeypatch.setattr(tr, "grid_search", _fail_if_called)
+    else:
+        path.mkdir()
+    config.write_text(config.read_text() + f"{unusable}={path}\ngrid.gender=0,60\n")
+    capsys.readouterr()
+    assert main([command, "--config", str(config)]) == 2
+    assert str(path) in capsys.readouterr().err
+    assert [p.name for p in tmp_path.glob("**/*.tmp")] == []
+
+
+@pytest.mark.parametrize("command, target", [
+    ("train", "tiny.cache"),
+    ("attack", "runs/MultVAE/fold0/checkpoint.bin"),
+    ("eval", "runs/MultVAE/fold0/checkpoint.bin"),
+    ("export-embeddings", "runs/MultVAE/fold0/attack_scores.bin"),
+], ids=["train-cache", "attack-checkpoint", "eval-checkpoint", "export-embeddings-attack-scores"])
+def test_a_container_that_cannot_be_read_exits_2_naming_it(workspace, capsys, command, target):
+    tmp_path, config = workspace
+    assert main(["preprocess", "--config", str(config)]) == 0
+    path = tmp_path / target
+    if path.exists():
+        path.unlink()
+    path.mkdir(parents=True)
+    capsys.readouterr()
+    assert main([command, "--config", str(config)]) == 2
+    assert str(path) in capsys.readouterr().err
 
 
 def test_negative_master_seed_is_rejected(tmp_path, capsys):

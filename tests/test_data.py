@@ -1,5 +1,7 @@
 import json
+import os
 import random
+import stat
 import tracemalloc
 from pathlib import Path
 
@@ -7,7 +9,7 @@ import numpy as np
 import pytest
 
 from advrec import data as dp
-from advrec.container import MAGIC, load_container, save_container
+from advrec.container import MAGIC, atomic_open, load_container, save_container
 from advrec.errors import ConfigError, ContractError, DataError
 
 # the dict-of-sets loader peaked at about 150 bytes per line on this file, the int-code loader at about 43,
@@ -620,6 +622,20 @@ def test_load_container_rejects_a_corrupt_header_length_naming_the_file(tmp_path
     path.write_bytes(MAGIC + header_len.to_bytes(8, "little") + raw[start:])
     with pytest.raises(DataError, match="corrupt.bin"):
         load_container(str(path))
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+def test_written_files_follow_the_umask(tmp_path, umask, mode):
+    previous = os.umask(umask)
+    try:
+        save_container(str(tmp_path / "a.bin"), {"w": np.arange(3.0)}, {"kind": "test"})
+        with atomic_open(str(tmp_path / "a.txt")) as fh:
+            fh.write("text\n")
+    finally:
+        os.umask(previous)
+    for name in ("a.bin", "a.txt"):
+        assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == mode
+    assert sorted(os.listdir(tmp_path)) == ["a.bin", "a.txt"]
 
 
 def test_container_payload_is_each_array_in_c_order_by_name(tmp_path):

@@ -184,6 +184,19 @@ def test_default_epoch_counts_follow_protocol():
     assert config.epochs_attack == 50
 
 
+def test_a_train_config_is_checked_when_built():
+    with pytest.raises(ConfigError, match="lr"):
+        tr.TrainConfig(lr=0)
+    with pytest.raises(ConfigError, match="'gender'"):
+        dataclasses.replace(tr.TrainConfig(), lambdas={"gender": float("nan")})
+    with pytest.raises(ConfigError, match="val_every"):
+        tr.TrainConfig(val_every=-1)
+    config = tr.TrainConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.lr = 0.5
+    assert config.lr == 1e-3
+
+
 def test_train_defaults_are_written_once():
     config = cf.load_config(None)
     assert type(config) is dict
