@@ -28,6 +28,6 @@ for entry in result.log:
     print(f"{entry['epoch']:3d}   {entry['mult']:8.3f} {entry['kl']:7.4f}  {val}")
 print(f"\nbest validation NDCG@10 {result.best_val_ndcg:.4f} at epoch {result.best_epoch}")
 
-ndcg, recall, evaluated = tr.evaluate_ranking(result.params, dataset, fold.test_foldin, fold.test_holdout)
+ndcg, recall, evaluated = tr.evaluate_ranking(result.params, fold.test_foldin, fold.test_holdout)
 print(f"test users: NDCG@10 {ndcg[evaluated].mean():.4f}, recall@10 {recall[evaluated].mean():.4f} "
       f"({int(evaluated.sum())} users evaluated)")

@@ -195,15 +195,15 @@ class ObjectiveParts:
 
 
 def total_objective(
-    x: Array,
+    rows,
     targets: dict[str, Array],
     model: dict[str, Array],
     specs: list[AttributeSpec],
     beta: float,
     rng: np.random.Generator | None,
 ) -> tuple[ObjectiveParts, Tape, dict[str, Tensor]]:
-    """Joint objective: recommender loss plus the reversed losses of the
-    heads in ``specs``.
+    """Joint objective on a batch of item-index ``rows``: recommender loss
+    plus the reversed losses of the heads in ``specs``.
 
     Returns the graph parts, the tape, and the leaves by parameter name,
     which map the backward results onto the store. Heads of attributes
@@ -212,7 +212,7 @@ def total_objective(
     tape = Tape()
     graph = ("enc.", "dec.") + tuple(f"head.{spec.name}." for spec in specs)
     leaves = {name: tape.leaf(arr, name=name) for name, arr in model.items() if name.startswith(graph)}
-    mult, parts = mv.multvae_loss(x, leaves, beta, rng)
+    mult, parts = mv.multvae_loss(rows, leaves, beta, rng)
     loss, adv_each = mult, {}
     if specs:
         adv_total, adv_each = advx_loss(parts.z, leaves, specs, targets)

@@ -165,7 +165,11 @@ def dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(
             f"dense: bias shape {b.data.shape} does not match weights shape {w.data.shape}"
         )
-    out_data = x.data @ w.data + b.data
+    out_data = x.data @ w.data
+    if out_data.dtype == np.result_type(out_data, b.data):
+        out_data += b.data  # in place, so one output-sized array is made; bits and dtype are those of x @ w + b
+    else:
+        out_data = out_data + b.data
 
     def grad_fn(g: Array) -> None:
         if x.requires_grad:

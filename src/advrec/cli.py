@@ -8,6 +8,7 @@ record, so it writes what the attack measured and loads no model.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import logging
@@ -84,15 +85,21 @@ def load_dataset(config: dict):
 @dataclass
 class FoldRun:
     """What train, attack, eval and export-embeddings share: the cached data,
-    the configured fold, the train settings and the run's output directory."""
+    the configured fold's split, the train settings and the run's output
+    directory. The fold's holdout partitions are drawn when first read:
+    only train and eval read them."""
 
     config: dict
     dataset: dp.InteractionDataset
     attrs: dp.UserAttributes
-    fold: dp.FoldData
+    split: dp.FoldSplit
     train: tr.TrainConfig
     label: str
     out_dir: str
+
+    @functools.cached_property
+    def fold(self) -> dp.FoldData:
+        return dp.prepare_fold(self.dataset, self.split, dp.HOLDOUT_RATIO, self.train.data_seed)
 
     @classmethod
     def of(cls, config: dict) -> "FoldRun":
@@ -101,10 +108,9 @@ class FoldRun:
         if not 0 <= fold_index < n_folds:
             raise ConfigError(f"train.fold={fold_index} outside 0..{n_folds - 1}")
         dataset, attrs = load_dataset(config)
-        splits = dp.make_folds(dataset.n_users, train.data_seed, n_folds)
-        fold = dp.prepare_fold(dataset, splits[fold_index], dp.HOLDOUT_RATIO, train.data_seed)
+        split = dp.make_folds(dataset.n_users, train.data_seed, n_folds)[fold_index]
         label = tr.model_label(train.lambdas)
-        return cls(config, dataset, attrs, fold, train, label,
+        return cls(config, dataset, attrs, split, train, label,
                    os.path.join(config["out.dir"], label, f"fold{fold_index}"))
 
     def model(self) -> adv.Params:
@@ -128,7 +134,7 @@ class FoldRun:
 
     def write_result(self, name: str, metrics: dict) -> dict:
         """Write the one-row results CSV ``name`` and return its row."""
-        row = tr.result_row(self.config["data.name"], self.train.lambdas, self.fold.index, metrics)
+        row = tr.result_row(self.config["data.name"], self.train.lambdas, self.split.index, metrics)
         ev.write_rows_csv(os.path.join(self.out_dir, name), [row])
         return row
 
@@ -181,38 +187,38 @@ def cmd_preprocess(config: dict) -> int:
 def cmd_train(config: dict) -> int:
     run = FoldRun.of(config)
     make_dirs(run.out_dir)  # an unusable output path fails before training
-    log.info("training %s on fold %d (%d train users)", run.label, run.fold.index, len(run.fold.split.train))
+    log.info("training %s on fold %d (%d train users)", run.label, run.split.index, len(run.split.train))
     result = tr.train_adversarial_phase(run.dataset, run.attrs, run.fold, run.train)
     adv.save_checkpoint(os.path.join(run.out_dir, "checkpoint.bin"), result.params, run.train.to_meta())
     ev.write_rows_csv(os.path.join(run.out_dir, "train_log.csv"), result.log)
-    write_manifest(run.out_dir, config, command="train", model=run.label, fold=run.fold.index,
+    write_manifest(run.out_dir, config, command="train", model=run.label, fold=run.split.index,
                    best_epoch=result.best_epoch, best_val_ndcg=result.best_val_ndcg)
-    print(f"{run.label} fold {run.fold.index}: checkpoint + log in {run.out_dir}")
+    print(f"{run.label} fold {run.split.index}: checkpoint + log in {run.out_dir}")
     return 0
 
 
 def cmd_attack(config: dict) -> int:
     run = FoldRun.of(config)
-    result = tr.train_attack_phase(run.model(), run.dataset, run.attrs, run.fold, run.train)
+    result = tr.train_attack_phase(run.model(), run.dataset, run.attrs, run.split, run.train)
     save_container(
         os.path.join(run.out_dir, "attack_scores.bin"), {**result.per_user, "mu": result.latents},
-        {"kind": "attack-scores", "model": run.label, "fold": run.fold.index, "n_items": run.dataset.n_items},
+        {"kind": "attack-scores", "model": run.label, "fold": run.split.index, "n_items": run.dataset.n_items},
     )
     run.write_result("attack_metrics.csv", result.metrics)
     printable = ", ".join(f"{k}={ev.as_percent(v):.2f}" for k, v in result.metrics.items())
-    print(f"{run.label} fold {run.fold.index}: {printable}")
+    print(f"{run.label} fold {run.split.index}: {printable}")
     return 0
 
 
 def cmd_eval(config: dict) -> int:
     run = FoldRun.of(config)
-    metrics, per_user = tr.rank_test_fold(run.model(), run.dataset, run.fold)
+    metrics, per_user = tr.rank_test_fold(run.model(), run.fold)
     save_container(
         os.path.join(run.out_dir, "eval_scores.bin"), per_user,
-        {"kind": "eval-scores", "model": run.label, "fold": run.fold.index},
+        {"kind": "eval-scores", "model": run.label, "fold": run.split.index},
     )
     row = run.write_result("metrics.csv", metrics)
-    print(f"{run.label} fold {run.fold.index}: ndcg@10={row['ndcg@10']:.2f} recall@10={row['recall@10']:.2f}")
+    print(f"{run.label} fold {run.split.index}: ndcg@10={row['ndcg@10']:.2f} recall@10={row['recall@10']:.2f}")
     return 0
 
 
@@ -260,7 +266,7 @@ def cmd_export_embeddings(config: dict) -> int:
         raise DataError(f"no attack scores at {path!r}; run the attack command first")
     # the attack's own record: the latent means its attackers were scored on, and their predictions
     scores, meta = load_container(path)
-    test_users = run.fold.split.test
+    test_users = run.split.test
     if "mu" not in scores or meta.get("n_items") != run.dataset.n_items:
         raise DataError(f"{path}: the attacked checkpoint expects {meta.get('n_items')} items, dataset has "
                         f"{run.dataset.n_items}, or the file predates latent means; run the attack command again")

@@ -83,14 +83,13 @@ class InteractionDataset:
         return self.interaction_count() / cells if cells else 0.0
 
     def batch_matrix(self, user_indices) -> np.ndarray:
-        """Dense float64 {0,1} matrix for the given users."""
-        return self.rows_matrix([self.row(u) for u in user_indices])
-
-    def rows_matrix(self, rows: list[np.ndarray]) -> np.ndarray:
-        """Dense float64 {0,1} matrix with one row per item-index array."""
+        """Dense float64 {0,1} matrix for the given users. Nothing in the
+        package calls it: the model reads item rows (``multvae.row_matrix``).
+        It stays because perfbench's tracer wraps it by name."""
+        rows = [self.row(u) for u in user_indices]
         x = np.zeros((len(rows), self.n_items))
-        for i, items in enumerate(rows):
-            x[i, items] = 1.0
+        row_of = np.repeat(np.arange(len(rows)), list(map(len, rows)))
+        x[row_of, np.concatenate([np.zeros(0, np.int64), *rows])] = 1.0
         return x
 
 

@@ -60,7 +60,11 @@ def ranking_metrics(scores: np.ndarray, foldin_rows, holdout_rows, k: int = 10):
     order = np.argsort(np.take_along_axis(neg, top, axis=1), axis=1, kind="stable")
     top = np.take_along_axis(top, order, axis=1)[evaluated]
     rows = np.flatnonzero(evaluated)[:, None]
-    hits = np.isin(rows * n_items + top, holdout_codes) & (neg[rows, top] < np.inf)
+    # hits by binary search; the holdout rows of a caller need not be sorted
+    holdout_codes.sort()
+    top_codes = rows * n_items + top
+    found = np.minimum(np.searchsorted(holdout_codes, top_codes), len(holdout_codes) - 1)
+    hits = (holdout_codes[found] == top_codes) & (neg[rows, top] < np.inf)
 
     patterns, pattern_of = np.unique(hits, axis=0, return_inverse=True)
     dcg = np.array([_dcg(np.flatnonzero(p).tolist()) for p in patterns], dtype=np.float64)

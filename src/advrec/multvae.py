@@ -6,6 +6,12 @@ parameters ``mu`` and ``logsigma``; the decoder maps a latent sample
 through one tanh hidden layer to item logits. The loss is multinomial
 negative log-likelihood plus a scaled Gaussian KL term.
 
+The model reads a batch as ``rows``: one 1-d array of item indices per
+user, strictly increasing, as ``InteractionDataset.row`` and ``FoldData``
+hold them. :func:`row_matrix` checks them once and builds the dense input
+with one scatter: ``1/sqrt(n)`` at each of a user's n items, which is the
+L2-normalized 0/1 vector to the bit. No path builds the 0/1 matrix first.
+
 Parameters live in one flat dict: ``enc.<field>`` and ``dec.<field>``
 arrays, with fields and shapes as ``ENCODER`` and ``DECODER`` lay them out.
 The forward functions read tensors from such a dict lifted onto a tape:
@@ -14,7 +20,9 @@ The forward functions read tensors from such a dict lifted onto a tape:
 The forward has two modes, chosen by its ``rng`` alone. Given an rng, it
 trains: the input is masked by inverted dropout at ``DROPOUT_KEEP`` and
 ``z`` is sampled (Liang et al., WWW 2018). Given ``None``, it evaluates:
-no mask, and ``z`` is the mean ``mu``.
+no mask, and ``z`` is the mean ``mu``. :func:`encode_eval` and
+:func:`scores_eval` compute ``mu`` alone, through the same layers, since
+no evaluation reads ``logsigma``.
 """
 
 from __future__ import annotations
@@ -73,35 +81,53 @@ def init_decoder(n_items: int, d_hidden: int, d_latent: int, rng: np.random.Gene
     return init_layout("dec", DECODER, {"items": n_items, "hidden": d_hidden, "latent": d_latent}, rng)
 
 
-def check_binary(x: Array) -> None:
-    if x.size and not np.all((x == 0.0) | (x == 1.0)):
-        raise ContractError("interaction matrix must be binary (entries in {0, 1})")
+def row_matrix(rows, n_items: int, normalized: bool) -> Array:
+    """Dense float64 matrix with one row per item-index array: ``1/sqrt(n)``
+    at each of a row's n items when ``normalized``, else 1, built with one
+    scatter into zeros. An empty row stays zero.
+
+    Raises ``ContractError`` naming the first row that holds an index
+    outside ``[0, n_items)`` or is not strictly increasing.
+    """
+    lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    items = np.concatenate([np.zeros(0, np.int64), *rows])
+    if items.dtype.kind not in "iu":
+        raise ContractError(f"item rows must hold integer indices, got dtype {items.dtype}")
+    row_of = np.repeat(np.arange(len(rows)), lengths)
+    codes = row_of * n_items + items
+    outside = (items < 0) | (items >= n_items)
+    # with every index in range, codes rise across a row boundary, so a fall or a repeat lies within one row
+    bad = np.flatnonzero(outside | np.concatenate([[False], codes[1:] <= codes[:-1]]))
+    if bad.size:
+        i = bad[0]
+        problem = f"item {items[i]} outside [0, {n_items})" if outside[i] else "items not strictly increasing"
+        raise ContractError(f"row {row_of[i]} has {problem}")
+    x = np.zeros((len(rows), n_items))
+    # 1 / sqrt(n) is the bits of x / sqrt(sum(x * x)) for a 0/1 row x of n ones
+    x.reshape(-1)[codes] = 1.0 / np.sqrt(lengths)[row_of] if normalized else 1.0
+    return x
 
 
-def l2_normalize_rows(x: Array) -> Array:
-    """Scale each row to unit L2 norm; all-zero rows pass through unchanged."""
-    norms = np.sqrt((x * x).sum(axis=1, keepdims=True))
-    safe = np.where(norms > 0, norms, 1.0)
-    return x / safe
+def _hidden_and_mean(rows, params: dict[str, Tensor], rng: np.random.Generator | None) -> tuple[Tensor, Tensor]:
+    """The encoder's hidden layer and latent mean, which training and evaluation share."""
+    w = params["enc.hidden_w"]
+    xn = row_matrix(rows, w.data.shape[0], normalized=True)
+    if rng is not None:
+        mask = rng.random(xn.shape) < DROPOUT_KEEP
+        xn = xn * mask / DROPOUT_KEEP
+    x_in = w.tape.constant(ad.as_dtype_of(xn, w), name="x")
+    h = ad.tanh(ad.dense(x_in, w, params["enc.hidden_b"]))
+    return h, ad.dense(h, params["enc.mu_w"], params["enc.mu_b"])
 
 
-def encode(x: Array, params: dict[str, Tensor], rng: np.random.Generator | None) -> LatentState:
-    """Map interaction rows to latent Gaussian parameters.
+def encode(rows, params: dict[str, Tensor], rng: np.random.Generator | None) -> LatentState:
+    """Map item-index rows to latent Gaussian parameters.
 
     The input is L2-normalized per row and, given an ``rng``, masked by
     inverted dropout drawn from it. ``params`` maps the ``enc.*`` names to
     tensors on one tape.
     """
-    x = ad.as_f64(x)
-    check_binary(x)
-    xn = l2_normalize_rows(x)
-    if rng is not None:
-        mask = rng.random(x.shape) < DROPOUT_KEEP
-        xn = xn * mask / DROPOUT_KEEP
-    w = params["enc.hidden_w"]
-    x_in = w.tape.constant(ad.as_dtype_of(xn, w), name="x")
-    h = ad.tanh(ad.dense(x_in, w, params["enc.hidden_b"]))
-    mu = ad.dense(h, params["enc.mu_w"], params["enc.mu_b"])
+    h, mu = _hidden_and_mean(rows, params, rng)
     logsigma = ad.dense(h, params["enc.logsigma_w"], params["enc.logsigma_b"])
     return LatentState(mu=mu, logsigma=logsigma)
 
@@ -125,12 +151,12 @@ def decode(z: Tensor, params: dict[str, Tensor]) -> Tensor:
     return ad.dense(h, params["dec.out_w"], params["dec.out_b"])
 
 
-def multinomial_nll(logits: Tensor, x: Array) -> Tensor:
-    """Mean over rows of ``-sum_i x_i * log_softmax(logits)_i``."""
-    x = ad.as_f64(x)
-    check_binary(x)
-    if logits.data.shape != x.shape:
-        raise DimensionError(f"logits shape {logits.data.shape} does not match x shape {x.shape}")
+def multinomial_nll(logits: Tensor, rows) -> Tensor:
+    """Mean over rows of ``-sum_i x_i * log_softmax(logits)_i``, where ``x``
+    is the 0/1 matrix of the item-index ``rows``."""
+    if len(rows) != logits.data.shape[0]:
+        raise DimensionError(f"logits shape {logits.data.shape} does not match {len(rows)} rows")
+    x = row_matrix(rows, logits.data.shape[1], normalized=False)
     batch = x.shape[0]
     if batch == 0:
         return logits.tape.constant(ad.as_dtype_of(0.0, logits), name="nll")
@@ -176,15 +202,15 @@ class LossParts:
 
 
 def multvae_loss(
-    x: Array, params: dict[str, Tensor], beta: float, rng: np.random.Generator | None
+    rows, params: dict[str, Tensor], beta: float, rng: np.random.Generator | None
 ) -> tuple[Tensor, LossParts]:
     """Reconstruction NLL plus ``beta`` times the KL term, to be minimized."""
     if beta < 0:
         raise ConfigError(f"beta must be >= 0, got {beta}")
-    state = encode(x, params, rng)
+    state = encode(rows, params, rng)
     z = reparameterize(state, rng)
     logits = decode(z, params)
-    nll = multinomial_nll(logits, x)
+    nll = multinomial_nll(logits, rows)
     kl = kl_gaussian(state.mu, state.logsigma)
     loss = ad.add(nll, ad.mul_const(kl, beta))
     return loss, LossParts(nll=nll, kl=kl, mu=state.mu, z=z)
@@ -199,13 +225,14 @@ def _constants(params: dict[str, Array], prefixes: tuple[str, ...]) -> dict[str,
             for name, arr in params.items() if name.startswith(prefixes)}
 
 
-def encode_eval(x: Array, params: dict[str, Array]) -> Array:
-    """Latent mean of interaction rows: :func:`encode` in evaluation mode,
-    on constant parameters, so nothing is recorded for a backward pass."""
-    return encode(x, _constants(params, ("enc.",)), None).mu.data
+def encode_eval(rows, params: dict[str, Array]) -> Array:
+    """Latent mean of item-index rows: :func:`encode` in evaluation mode,
+    without the ``logsigma`` layer, on constant parameters, so nothing is
+    recorded for a backward pass."""
+    return _hidden_and_mean(rows, _constants(params, ("enc.hidden_", "enc.mu_")), None)[1].data
 
 
-def scores_eval(x: Array, params: dict[str, Array]) -> Array:
+def scores_eval(rows, params: dict[str, Array]) -> Array:
     """Item logits for ranking, decoded from the latent mean (no sampling, no dropout)."""
-    constants = _constants(params, ("enc.", "dec."))
-    return decode(encode(x, constants, None).mu, constants).data
+    constants = _constants(params, ("enc.hidden_", "enc.mu_", "dec."))
+    return decode(_hidden_and_mean(rows, constants, None)[1], constants).data

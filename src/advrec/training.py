@@ -36,7 +36,7 @@ import numpy as np
 from . import adversarial as adv
 from . import evaluation as ev
 from . import multvae as mv
-from .data import FoldData, InteractionDataset, UserAttributes, class_weights
+from .data import FoldData, FoldSplit, InteractionDataset, UserAttributes, class_weights
 from .errors import ConfigError, ContractError, TrainingDiverged
 
 
@@ -119,6 +119,19 @@ def adam_step(params: dict, grads: dict, state: AdamState) -> dict:
     return params
 
 
+class _ReadOnlyDict(dict):
+    """A dict whose mutators raise ``TypeError``: the lambdas of a frozen config."""
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("a TrainConfig's lambdas cannot change; build a new config with dataclasses.replace")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):
+        # pickle would otherwise fill the copy through __setitem__
+        return type(self), (dict(self),)
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """All knobs for one training run, checked when built; defaults follow the reference protocol."""
@@ -163,6 +176,7 @@ class TrainConfig:
             raise ConfigError(f"unknown selection mode {self.selection!r}")
         if self.continuous_head not in ("sigmoid", "linear"):
             raise ConfigError(f"unknown continuous_head {self.continuous_head!r}")
+        object.__setattr__(self, "lambdas", _ReadOnlyDict(self.lambdas))  # read-only, so the check below holds
         for name, lam in self.lambdas.items():
             if not 0.0 <= lam < np.inf:
                 raise ConfigError(f"lambda for {name!r} must be finite and >= 0, got {lam}")
@@ -218,15 +232,15 @@ EVAL_CHUNK = 1024  # users per dense matrix at evaluation, which bounds its memo
 
 
 def encode_users(dataset: InteractionDataset, users, params: dict) -> np.ndarray:
-    """Latent means of ``users``, densified and encoded ``EVAL_CHUNK`` rows at a time."""
+    """Latent means of ``users``, encoded from their item rows ``EVAL_CHUNK`` users at a time."""
     latents = np.empty((len(users), params["enc.mu_b"].shape[0]))
     for start in range(0, len(users), EVAL_CHUNK):
         stop = start + EVAL_CHUNK
-        latents[start:stop] = mv.encode_eval(dataset.batch_matrix(users[start:stop]), params)
+        latents[start:stop] = mv.encode_eval([dataset.row(u) for u in users[start:stop]], params)
     return latents
 
 
-def evaluate_ranking(model: dict, dataset: InteractionDataset, foldin_rows, holdout_rows):
+def evaluate_ranking(model: dict, foldin_rows, holdout_rows):
     """Per-user NDCG@10 and recall@10 from fold-in rows against holdout rows,
     and whether each user was evaluated."""
     n = len(foldin_rows)
@@ -236,7 +250,7 @@ def evaluate_ranking(model: dict, dataset: InteractionDataset, foldin_rows, hold
     for start in range(0, n, EVAL_CHUNK):
         stop = min(n, start + EVAL_CHUNK)
         # the dense input is freed before ranking, which holds two more chunk-sized arrays
-        scores = mv.scores_eval(dataset.rows_matrix(foldin_rows[start:stop]), model)
+        scores = mv.scores_eval(foldin_rows[start:stop], model)
         nd, rc, ok = ev.ranking_metrics(scores, foldin_rows[start:stop], holdout_rows[start:stop])
         ndcg[start:stop] = nd
         recall[start:stop] = rc
@@ -244,11 +258,11 @@ def evaluate_ranking(model: dict, dataset: InteractionDataset, foldin_rows, hold
     return ndcg, recall, evaluated
 
 
-def rank_test_fold(model: dict, dataset: InteractionDataset, fold: FoldData):
+def rank_test_fold(model: dict, fold: FoldData):
     """The test fold's NDCG@10 and recall@10 over its evaluated users, and
     the per-user values behind them (``test_users``, ``ndcg``, ``recall``,
     ``evaluated``)."""
-    ndcg, recall, evaluated = evaluate_ranking(model, dataset, fold.test_foldin, fold.test_holdout)
+    ndcg, recall, evaluated = evaluate_ranking(model, fold.test_foldin, fold.test_holdout)
     metrics = {"ndcg@10": ev.evaluated_mean(ndcg, evaluated), "recall@10": ev.evaluated_mean(recall, evaluated)}
     return metrics, {"test_users": fold.split.test.copy(), "ndcg": ndcg, "recall": recall, "evaluated": evaluated}
 
@@ -330,8 +344,8 @@ def train_adversarial_phase(
         batch_users = train_users[rows]
         beta = config.beta_max * min(1.0, step / config.anneal_steps) if config.anneal_steps else config.beta_max
         targets = {name: values[batch_users] for name, values in targets_all.items()}
-        parts, tape, leaves = adv.total_objective(dataset.batch_matrix(batch_users), targets, params, specs, beta,
-                                                  model_rng)
+        parts, tape, leaves = adv.total_objective([dataset.row(u) for u in batch_users], targets, params, specs,
+                                                  beta, model_rng)
         named = {"mult": parts.mult, "nll": parts.nll, "kl": parts.kl}
         named.update({f"adv_{name}": tensor for name, tensor in parts.adv.items()})
         return parts.loss, named, tape, leaves
@@ -349,7 +363,7 @@ def train_adversarial_phase(
         entry.update(run_epoch(model, len(train_users), data_rng, config.batch_size, graph, optimizer, epoch))
         is_last = epoch == config.epochs_adversarial - 1
         if config.val_every and ((epoch + 1) % config.val_every == 0 or is_last):
-            ndcg, _, evaluated = evaluate_ranking(model, dataset, fold.val_foldin, fold.val_holdout)
+            ndcg, _, evaluated = evaluate_ranking(model, fold.val_foldin, fold.val_holdout)
             val_ndcg = ev.evaluated_mean(ndcg, evaluated)
             entry["val_ndcg"] = val_ndcg
             if val_ndcg > best_ndcg:
@@ -376,17 +390,18 @@ class AttackResult:
 
 
 def train_attack_phase(
-    model: dict, dataset: InteractionDataset, attrs: UserAttributes, fold: FoldData, config: TrainConfig
+    model: dict, dataset: InteractionDataset, attrs: UserAttributes, split: FoldSplit, config: TrainConfig
 ) -> AttackResult:
     """Train fresh attackers on the frozen encoder's latent means.
 
-    One attacker per attribute of ``config.lambdas``, trained on
-    training-fold users and scored on test-fold users (balanced accuracy
-    for categorical attributes, mean absolute error for continuous ones).
+    One attacker per attribute of ``config.lambdas``, trained on the users
+    of ``split.train`` and scored on those of ``split.test`` (balanced
+    accuracy for categorical attributes, mean absolute error for continuous
+    ones).
     All attackers share one tape per batch and one optimizer; their losses
     are independent, so each learns as if alone.
     """
-    specs = build_specs(attrs, config.lambdas, fold.split.train, config.continuous_head)
+    specs = build_specs(attrs, config.lambdas, split.train, config.continuous_head)
     head_rng = np.random.default_rng([config.adversary_seed, 1001])
     shuffle_rng = np.random.default_rng([config.data_seed, 1001])
 
@@ -394,8 +409,8 @@ def train_attack_phase(
     heads = adv.init_heads(specs, model["enc.mu_b"].shape[0], config.d_adv_hidden, head_rng)
     optimizer = AdamState(config.lr)
 
-    train_users = fold.split.train
-    test_users = fold.split.test
+    train_users = split.train
+    test_users = split.test
     latents_train = encode_users(dataset, train_users, model)
     latents_test = encode_users(dataset, test_users, model)
     targets_all = attrs.targets()
@@ -460,8 +475,8 @@ def run_single(
 ) -> RunRecord:
     """Full protocol for one lambda combination on one fold."""
     train_result = train_adversarial_phase(dataset, attrs, fold, config)
-    attack = train_attack_phase(train_result.params, dataset, attrs, fold, config)
-    ranking, ranking_per_user = rank_test_fold(train_result.params, dataset, fold)
+    attack = train_attack_phase(train_result.params, dataset, attrs, fold.split, config)
+    ranking, ranking_per_user = rank_test_fold(train_result.params, fold)
     return RunRecord(
         dataset_name=dataset_name,
         lambdas=dict(config.lambdas),

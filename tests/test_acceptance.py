@@ -51,7 +51,8 @@ def test_criterion_1_gradient_correctness():
 
     def rebuild(arrs):
         return adv.total_objective(
-            x, targets, dict(zip(names, arrs)), specs, beta=0.5, rng=np.random.default_rng(99),
+            [np.flatnonzero(row) for row in x], targets, dict(zip(names, arrs)), specs, beta=0.5,
+            rng=np.random.default_rng(99),
         )
 
     parts, tape, leaves = rebuild(arrays)

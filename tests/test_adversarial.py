@@ -7,6 +7,7 @@ from advrec import multvae as mv
 from advrec.container import load_container, save_container
 from advrec.errors import ConfigError, DataError
 from advrec.training import AdamState, adam_step
+from test_multvae import rows_of
 
 
 def gender_spec(lam=0.0, weights=None):
@@ -41,11 +42,11 @@ def small_recommender(seed=0):
     return adv.Params((name, arr) for name, arr in small_model(seed=seed).items() if name.startswith(("enc.", "dec.")))
 
 
-def random_x(n_rows, n_items, seed=0):
+def random_rows(n_rows, n_items, seed=0):
     rng = np.random.default_rng(seed)
     x = (rng.random((n_rows, n_items)) < 0.4).astype(np.float64)
     x[x.sum(axis=1) == 0, 0] = 1.0
-    return x
+    return rows_of(x)
 
 
 def test_adv_forward_identical_with_and_without_reversal():
@@ -198,7 +199,7 @@ def objective_grads(model, specs, x, targets, seed=11):
 def test_total_objective_runs_in_the_dtype_of_its_store(dtype):
     model = small_model()
     store = {name: arr.astype(dtype) for name, arr in model.items()}
-    x = random_x(5, 8, seed=12)
+    x = random_rows(5, 8, seed=12)
     targets = {"gender": np.array([0, 1, 1, 0, 1]), "age": np.random.default_rng(13).random(5)}
     specs = [gender_spec(lam=40.0, weights=[0.7, 1.3]), age_spec(lam=40.0)]
     parts, grads = objective_grads(store, specs, x, targets)
@@ -217,7 +218,7 @@ def test_total_objective_runs_in_the_dtype_of_its_store(dtype):
 
 def test_total_objective_zero_lambda_matches_plain_model_gradients():
     model = small_model()
-    x = random_x(5, 8, seed=6)
+    x = random_rows(5, 8, seed=6)
     targets = {"gender": np.array([0, 1, 0, 1, 1]), "age": np.random.default_rng(7).random(5)}
     specs = [gender_spec(lam=0.0), age_spec(lam=0.0)]
     _, grads_with_heads = objective_grads(model, specs, x, targets)
@@ -230,7 +231,7 @@ def test_total_objective_zero_lambda_matches_plain_model_gradients():
 
 def test_total_objective_single_active_lambda_matches_single_head_graph():
     model = small_model()
-    x = random_x(5, 8, seed=8)
+    x = random_rows(5, 8, seed=8)
     targets = {"gender": np.array([1, 1, 0, 1, 0]), "age": np.random.default_rng(9).random(5)}
     specs_both = [gender_spec(lam=0.0), age_spec(lam=300.0)]
     _, grads_both = objective_grads(model, specs_both, x, targets)
@@ -245,7 +246,7 @@ def test_total_objective_gradients_match_finite_differences_with_reversal():
     # tape is supposed to produce: decoder and heads see the joint loss,
     # the encoder sees the recommender loss MINUS each lambda-scaled head loss.
     model = small_model()
-    x = random_x(5, 8, seed=10)
+    x = random_rows(5, 8, seed=10)
     targets = {"gender": np.array([0, 1, 1, 0, 1]), "age": np.random.default_rng(12).random(5)}
     lam = {"gender": 1.0, "age": 1.0}
     specs = [gender_spec(lam=lam["gender"]), age_spec(lam=lam["age"])]

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from advrec import adversarial as adv
+from advrec import data as dp
 from advrec import multvae as mv
 from advrec import training as tr
 from advrec.cli import main
@@ -394,6 +395,16 @@ def test_export_embeddings_writes_what_the_attack_measured(workspace):
     assert mu.tobytes() == scores["mu"].tobytes()
     assert [int(row["pred_gender"]) for row in rows] == scores["pred_gender"].tolist()
     assert np.array([float(row["pred_age"]) for row in rows]).tobytes() == scores["pred_age"].tobytes()
+
+
+def test_only_train_and_eval_draw_the_holdout_partitions(workspace, monkeypatch):
+    tmp_path, config = workspace
+    assert main(["preprocess", "--config", str(config)]) == 0
+    drawn_by, prepare_fold = [], dp.prepare_fold
+    monkeypatch.setattr(dp, "prepare_fold", lambda *args: drawn_by.append(command) or prepare_fold(*args))
+    for command in ("train", "attack", "eval", "export-embeddings"):
+        assert main([command, "--config", str(config)]) == 0
+    assert drawn_by == ["train", "eval"]
 
 
 def test_export_embeddings_formats_each_value_as_repr_precision_text(workspace):

@@ -55,12 +55,12 @@ def test_recall_examples():
     assert metrics_of([3, 4, 0, 5, 6, 7, 8, 9, 10, 11, 1, 2], {1, 2})[1] == 0.0
 
 
-def assert_chunk_matches_oracle(ranking, k):
-    """Every holdout set over the catalog, one chunk row each, against the oracles."""
+def assert_chunk_matches_oracle(ranking, k, order=sorted):
+    """Every holdout set over the catalog, one chunk row each, its items listed in ``order``, against the oracles."""
     holdouts = [set(h) for r in range(1, len(ranking) + 1) for h in itertools.combinations(ranking, r)]
     ndcg, recall, evaluated = ev.ranking_metrics(
         scores_ranking(ranking, len(holdouts)), [np.zeros(0, dtype=np.int64)] * len(holdouts),
-        [np.array(sorted(h)) for h in holdouts], k,
+        [np.array(order(h)) for h in holdouts], k,
     )
     assert evaluated.all()
     for i, holdout in enumerate(holdouts):
@@ -76,6 +76,9 @@ def test_ranking_metrics_match_brute_force_on_all_small_rankings():
     # full length-6 sweep at the reporting cutoff
     for ranking in itertools.permutations(range(6)):
         assert_chunk_matches_oracle(ranking, 10)
+    # holdout rows in descending order: the function does not assume its input sorted
+    for ranking in itertools.permutations(range(5)):
+        assert_chunk_matches_oracle(ranking, 3, order=lambda h: sorted(h, reverse=True))
 
 
 def test_users_with_fewer_than_k_rankable_items_are_scored():

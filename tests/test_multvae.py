@@ -24,12 +24,52 @@ def random_x(n_rows, n_items, seed=0, density=0.4):
     return x
 
 
+def rows_of(x):
+    """The item-index rows of a dense 0/1 matrix: what the model reads."""
+    return [np.flatnonzero(row) for row in x]
+
+
+@pytest.mark.parametrize("dtype, seed", [(np.float32, 3), (np.float64, None)], ids=["float32-rng", "float64-no-rng"])
+def test_encode_input_is_the_normalized_dense_row_bit_for_bit(dtype, seed):
+    params = {name: arr.astype(dtype) for name, arr in make_params().items()}
+    x = random_x(5, 8, seed=4)
+    x[2] = 0.0  # an empty row
+    tape = ad.Tape()
+    leaves = as_leaves(tape, params)
+    rng = None if seed is None else np.random.default_rng(seed)
+    state = mv.encode(rows_of(x), leaves, rng)
+
+    norms = np.sqrt(x.sum(axis=1, keepdims=True))
+    xn = x / np.where(norms > 0, norms, 1.0)
+    if seed is not None:
+        xn = xn * (np.random.default_rng(seed).random(x.shape) < mv.DROPOUT_KEEP) / mv.DROPOUT_KEEP
+    x_in = tape.constant(xn.astype(dtype))
+    h = ad.tanh(ad.dense(x_in, leaves["enc.hidden_w"], leaves["enc.hidden_b"]))
+    mu = ad.dense(h, leaves["enc.mu_w"], leaves["enc.mu_b"])
+    assert state.mu.data.dtype == dtype
+    assert state.mu.data.tobytes() == mu.data.tobytes()
+    assert np.all(np.isfinite(state.mu.data[2]))
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([[0, 2], [1, 8]], "row 1 has item 8 outside [0, 8)"),
+    ([[0, 2], [], [-1, 3]], "row 2 has item -1 outside [0, 8)"),
+    ([[0, 2], [3, 3]], "row 1 has items not strictly increasing"),
+    ([[4, 1], [0]], "row 0 has items not strictly increasing"),
+], ids=["out_of_range", "negative", "repeated", "unsorted"])
+def test_encode_rejects_rows_it_cannot_read_naming_the_row(rows, message):
+    enc_t = as_leaves(ad.Tape(), make_params())
+    with pytest.raises(ContractError) as err:
+        mv.encode([np.array(row, dtype=np.int64) for row in rows], enc_t, None)
+    assert str(err.value) == message
+
+
 def test_encode_deterministic_given_seed():
     params = make_params()
     x = random_x(3, 8, seed=1)
     outs = []
     for _ in range(2):
-        state = mv.encode(x, as_leaves(ad.Tape(), params), np.random.default_rng(42))
+        state = mv.encode(rows_of(x), as_leaves(ad.Tape(), params), np.random.default_rng(42))
         outs.append((state.mu.data.copy(), state.logsigma.data.copy()))
     assert np.array_equal(outs[0][0], outs[1][0])
     assert np.array_equal(outs[0][1], outs[1][1])
@@ -41,7 +81,7 @@ def test_encode_zero_weights_gives_bias():
         params[name] = np.zeros_like(params[name])
     params["enc.mu_b"] = np.full(4, 0.7)
     params["enc.logsigma_b"] = np.full(4, -0.3)
-    state = mv.encode(random_x(5, 8), as_leaves(ad.Tape(), params), None)
+    state = mv.encode(rows_of(random_x(5, 8)), as_leaves(ad.Tape(), params), None)
     assert np.allclose(state.mu.data, 0.7)
     assert np.allclose(state.logsigma.data, -0.3)
 
@@ -52,8 +92,8 @@ def test_encode_rows_are_independent():
     x[0, 3] = 1.0
     x2 = np.vstack([x, x])
     enc_t = as_leaves(ad.Tape(), params)
-    one = mv.encode(x, enc_t, None)
-    two = mv.encode(x2, enc_t, None)
+    one = mv.encode(rows_of(x), enc_t, None)
+    two = mv.encode(rows_of(x2), enc_t, None)
     # identical rows in one batch encode identically ...
     assert np.array_equal(two.mu.data[0], two.mu.data[1])
     # ... and batch size does not influence a row's encoding (up to BLAS
@@ -61,17 +101,9 @@ def test_encode_rows_are_independent():
     assert np.allclose(two.mu.data[0], one.mu.data[0], rtol=0, atol=1e-12)
 
 
-def test_encode_rejects_non_binary_and_allows_zero_rows():
-    enc_t = as_leaves(ad.Tape(), make_params())
-    with pytest.raises(ContractError):
-        mv.encode(np.full((1, 8), 0.5), enc_t, None)
-    out = mv.encode(np.zeros((2, 8)), enc_t, None)
-    assert np.all(np.isfinite(out.mu.data))
-
-
 def test_reparameterize_eval_returns_mu_bitwise():
     enc_t = as_leaves(ad.Tape(), make_params())
-    state = mv.encode(random_x(4, 8), enc_t, None)
+    state = mv.encode(rows_of(random_x(4, 8)), enc_t, None)
     z = mv.reparameterize(state, None)
     assert z is state.mu
 
@@ -117,7 +149,7 @@ def test_decode_dimension_mismatch():
 def test_roundtrip_shape():
     x = random_x(5, 8)
     leaves = as_leaves(ad.Tape(), make_params())
-    state = mv.encode(x, leaves, None)
+    state = mv.encode(rows_of(x), leaves, None)
     logits = mv.decode(state.mu, leaves)
     assert logits.data.shape == x.shape
 
@@ -127,14 +159,14 @@ def test_multinomial_nll_uniform_logits_closed_form():
     logits = tape.leaf(np.zeros((1, 4)))
     x = np.zeros((1, 4))
     x[0, 2] = 1.0
-    nll = mv.multinomial_nll(logits, x)
+    nll = mv.multinomial_nll(logits, rows_of(x))
     assert abs(float(nll.data) - np.log(4.0)) < 1e-12
 
 
 def test_multinomial_nll_empty_x_is_zero():
     tape = ad.Tape()
     logits = tape.leaf(np.random.default_rng(0).standard_normal((3, 5)))
-    nll = mv.multinomial_nll(logits, np.zeros((3, 5)))
+    nll = mv.multinomial_nll(logits, rows_of(np.zeros((3, 5))))
     assert float(nll.data) == 0.0
 
 
@@ -146,7 +178,7 @@ def test_multinomial_nll_shift_invariance():
     for c in (0.0, 123.456):
         tape = ad.Tape()
         logits = tape.leaf(base + c)
-        values.append(float(mv.multinomial_nll(logits, x).data))
+        values.append(float(mv.multinomial_nll(logits, rows_of(x)).data))
     assert abs(values[0] - values[1]) < 1e-10
 
 
@@ -173,7 +205,7 @@ def test_multvae_loss_beta_zero_equals_nll():
     params = make_params()
     x = random_x(5, 8, seed=3)
     loss, parts = mv.multvae_loss(
-        x,
+        rows_of(x),
         as_leaves(ad.Tape(), params),
         beta=0.0,
         rng=np.random.default_rng(1),
@@ -183,7 +215,7 @@ def test_multvae_loss_beta_zero_equals_nll():
 
 def test_multvae_loss_parts_carry_mu_and_the_decoded_sample():
     params = make_params(seed=5)
-    x = random_x(5, 8, seed=5)
+    x = rows_of(random_x(5, 8, seed=5))
     _, parts = mv.multvae_loss(x, as_leaves(ad.Tape(), params), 0.2, None)
     assert parts.z is parts.mu
     assert np.array_equal(parts.mu.data, mv.encode_eval(x, params))
@@ -205,7 +237,7 @@ def test_multvae_loss_zero_information_encoder():
     # biases already zero: mu = 0 and logsigma = 0, so the KL term vanishes
     x = random_x(5, 8, seed=4)
     loss, parts = mv.multvae_loss(
-        x,
+        rows_of(x),
         as_leaves(ad.Tape(), params),
         beta=1.0,
         rng=None,
@@ -216,7 +248,7 @@ def test_multvae_loss_zero_information_encoder():
 
 def test_multvae_loss_gradients_match_finite_differences():
     params = make_params(n_items=8, d_hidden=6, d_latent=4, seed=7)
-    x = random_x(5, 8, seed=8)
+    x = rows_of(random_x(5, 8, seed=8))
     names = list(params)
     arrays = list(params.values())
 
@@ -239,7 +271,7 @@ def test_multvae_loss_gradients_match_finite_differences():
 
 def test_eval_path_matches_tape_path_bitwise():
     params = make_params(seed=13)
-    x = random_x(6, 8, seed=13)
+    x = rows_of(random_x(6, 8, seed=13))
     leaves = as_leaves(ad.Tape(), params)
     state = mv.encode(x, leaves, None)
     z = mv.reparameterize(state, None)
@@ -250,7 +282,7 @@ def test_eval_path_matches_tape_path_bitwise():
 
 def test_eval_rankings_are_stable_across_passes():
     params = make_params(seed=21)
-    x = random_x(10, 8, seed=21)
+    x = rows_of(random_x(10, 8, seed=21))
     first = np.argsort(-mv.scores_eval(x, params), axis=1)
     second = np.argsort(-mv.scores_eval(x, params), axis=1)
     assert np.array_equal(first, second)

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -195,6 +196,15 @@ def test_a_train_config_is_checked_when_built():
     with pytest.raises(dataclasses.FrozenInstanceError):
         config.lr = 0.5
     assert config.lr == 1e-3
+    # the lambdas are read-only too, so nothing can undo their check
+    config = tr.TrainConfig(lambdas={"gender": 1.0})
+    with pytest.raises(TypeError):
+        config.lambdas["gender"] = float("nan")
+    assert config.lambdas == {"gender": 1.0}
+    copy = pickle.loads(pickle.dumps(config))
+    assert copy == config
+    with pytest.raises(TypeError):
+        copy.lambdas["gender"] = float("nan")
 
 
 def test_train_defaults_are_written_once():
@@ -225,10 +235,10 @@ def test_epoch_log_length_matches_configuration():
     dataset, attrs, fold, config = tiny_setup(epochs_adversarial=7, epochs_attack=3)
     result = tr.train_adversarial_phase(dataset, attrs, fold, config)
     assert len(result.log) == 7
-    attack = tr.train_attack_phase(result.params, dataset, attrs, fold,
+    attack = tr.train_attack_phase(result.params, dataset, attrs, fold.split,
                                    dataclasses.replace(config, lambdas={"gender": 0.0}))
     assert len(attack.log) == 3
-    nothing = tr.train_attack_phase(result.params, dataset, attrs, fold, config)
+    nothing = tr.train_attack_phase(result.params, dataset, attrs, fold.split, config)
     assert nothing.log == [{"epoch": e} for e in range(3)] and nothing.metrics == {}
 
 
@@ -265,7 +275,7 @@ def test_divergence_aborts_with_location(monkeypatch):
 
     monkeypatch.setattr(adv, "attacker_loss_graph", lambda *args: (BadLoss(), {}, None, {}))
     with pytest.raises(TrainingDiverged) as err:
-        tr.train_attack_phase(model, dataset, attrs, fold, dataclasses.replace(config, lambdas={"gender": 0.0}))
+        tr.train_attack_phase(model, dataset, attrs, fold.split, dataclasses.replace(config, lambdas={"gender": 0.0}))
     assert "epoch 0" in str(err.value) and "batch 0" in str(err.value)
 
 
@@ -338,7 +348,7 @@ def test_attack_phase_leaves_model_frozen():
     before = params_hash(result.params.items())
     for arr in result.params.values():
         arr.setflags(write=False)  # numpy refuses any write into the model
-    tr.train_attack_phase(result.params, dataset, attrs, fold, config)
+    tr.train_attack_phase(result.params, dataset, attrs, fold.split, config)
     after = params_hash(result.params.items())
     assert before == after
 
@@ -349,7 +359,7 @@ def test_chunked_encoding_matches_one_full_matrix():
     encoder = mv.init_encoder(dataset.n_items, 6, 3, np.random.default_rng(5))
     users = np.random.default_rng(6).permutation(n_users)
     chunked = tr.encode_users(dataset, users, encoder)
-    full = mv.encode_eval(dataset.batch_matrix(users), encoder)
+    full = mv.encode_eval([dataset.row(u) for u in users], encoder)
     assert chunked.shape == (n_users, 3)
     assert np.max(np.abs(chunked - full)) <= 1e-12
 
@@ -367,7 +377,7 @@ def test_attacker_on_untrained_encoder_with_random_labels_is_chance_level():
             dataset, specs, config,
             np.random.default_rng(seed), np.random.default_rng(seed + 1),
         )
-        attack = tr.train_attack_phase(model, dataset, attrs, fold, config)
+        attack = tr.train_attack_phase(model, dataset, attrs, fold.split, config)
         baccs.append(attack.metrics["bacc_gender"])
     assert 0.45 <= float(np.mean(baccs)) <= 0.60
 
