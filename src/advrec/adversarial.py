@@ -36,19 +36,13 @@ CONTINUOUS = "continuous"
 
 @dataclass
 class AttributeSpec:
-    """One protected attribute: its type, loss weighting and removal strength.
-
-    ``squash`` bounds a continuous head's output to (0, 1) through a sigmoid;
-    turning it off leaves the output linear, which strengthens the reversed
-    MSE gradient (the sigmoid derivative shrinks it several-fold).
-    """
+    """One protected attribute: its type, loss weighting and removal strength."""
 
     name: str
     kind: str
     n_classes: int = 0
     class_weights: Array | None = None
     lam: float = 0.0
-    squash: bool = True
 
     def __post_init__(self):
         if self.kind not in (CATEGORICAL, CONTINUOUS):
@@ -106,14 +100,12 @@ def adv_forward(z: Tensor, params: dict[str, Tensor], spec: AttributeSpec) -> Te
     Reversal acts only on gradients, so on a constant ``z``, as the attacker
     reads its latents, it records nothing and the forward is the plain one.
     Categorical heads emit logits; continuous heads one value per row,
-    sigmoid-squashed when ``spec.squash`` is set.
+    squashed into (0, 1) by a sigmoid.
     """
     prefix = f"head.{spec.name}"
     h = ad.tanh(ad.dense(ad.grl(z, spec.lam), params[f"{prefix}.hidden_w"], params[f"{prefix}.hidden_b"]))
     out = ad.dense(h, params[f"{prefix}.out_w"], params[f"{prefix}.out_b"])
-    if spec.kind == CONTINUOUS and spec.squash:
-        out = ad.sigmoid(out)
-    return out
+    return ad.sigmoid(out) if spec.kind == CONTINUOUS else out
 
 
 def weighted_ce(logits: Tensor, labels: Array, weights: Array) -> Tensor:

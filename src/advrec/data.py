@@ -15,7 +15,8 @@ the read peaks near 35 bytes per line.
 Every dataset is built by ``InteractionDataset.from_codes`` from strictly
 increasing user-major pair codes ``u * n_items + i``. The loader, the k-core
 and the planted generator each hand it codes in that order, so it sorts
-nothing.
+nothing. ``row_codes`` reads a batch of item rows into codes of the same
+form, ``row * n_items + item``, for the model's input and for ranking.
 """
 
 from __future__ import annotations
@@ -86,11 +87,27 @@ class InteractionDataset:
         """Dense float64 {0,1} matrix for the given users. Nothing in the
         package calls it: the model reads item rows (``multvae.row_matrix``).
         It stays because perfbench's tracer wraps it by name."""
-        rows = [self.row(u) for u in user_indices]
-        x = np.zeros((len(rows), self.n_items))
-        row_of = np.repeat(np.arange(len(rows)), list(map(len, rows)))
-        x[row_of, np.concatenate([np.zeros(0, np.int64), *rows])] = 1.0
+        x = np.zeros((len(user_indices), self.n_items))
+        x.reshape(-1)[row_codes([self.row(u) for u in user_indices], self.n_items)[2]] = 1.0
         return x
+
+
+def row_codes(rows, n_items: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Item-index ``rows`` read as int64: each row's length, each item's row
+    and each item's code ``row * n_items + item``, in row order. A row of a
+    non-integer dtype raises ``ContractError`` naming it; ``multvae.row_matrix``
+    checks the indices against ``n_items``."""
+    lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    try:
+        items = np.concatenate(rows, dtype=np.int64, casting="same_kind") if len(rows) else np.zeros(0, np.int64)
+    except TypeError:
+        for r, row in enumerate(rows):
+            dtype = np.asarray(row).dtype
+            if not np.can_cast(dtype, np.int64, "same_kind"):
+                raise ContractError(f"row {r} has items of dtype {dtype}, not integer indices") from None
+        raise
+    row_of = np.repeat(np.arange(len(rows)), lengths)
+    return lengths, row_of, row_of * n_items + items
 
 
 @dataclass

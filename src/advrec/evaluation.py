@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .container import atomic_open
+from .data import row_codes
 from .errors import ConfigError, ContractError, DataError
 
 
@@ -22,13 +23,6 @@ def _dcg(positions) -> float:
     """Binary-relevance DCG of hits at 0-based rank ``positions``, added in
     rank order by Python's ``sum`` (compensated from Python 3.12 on)."""
     return sum(1.0 / math.log2(pos + 2) for pos in positions)
-
-
-def _codes(rows, n_items: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row lengths, and ``row * n_items + item`` for every item of every row."""
-    lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-    items = np.concatenate([np.zeros(0, np.int64), *rows]).astype(np.int64, copy=False)
-    return lengths, np.repeat(np.arange(len(rows)), lengths) * n_items + items
 
 
 def ranking_metrics(scores: np.ndarray, foldin_rows, holdout_rows, k: int = 10):
@@ -45,14 +39,14 @@ def ranking_metrics(scores: np.ndarray, foldin_rows, holdout_rows, k: int = 10):
     n, n_items = scores.shape
     ndcg = np.zeros(n)
     recall = np.zeros(n)
-    holdout_len, holdout_codes = _codes(holdout_rows, n_items)
+    holdout_len, _, holdout_codes = row_codes(holdout_rows, n_items)
     evaluated = holdout_len > 0
     if not evaluated.any():
         return ndcg, recall, evaluated
     if not np.all(np.isfinite(scores)):
         raise ContractError("ranking scores contain non-finite values")
     neg = -np.asarray(scores, dtype=np.float64)  # the one chunk-sized copy
-    neg.reshape(-1)[_codes(foldin_rows, n_items)[1]] = np.inf
+    neg.reshape(-1)[row_codes(foldin_rows, n_items)[2]] = np.inf
     if k < n_items:
         top = np.argpartition(neg, k, axis=1)[:, :k]
     else:

@@ -33,6 +33,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Array, Tape, Tensor
+from .data import row_codes
 from .errors import ConfigError, ContractError, DimensionError
 
 # Parameter layouts: field -> dimension names. A weight is (fan-in, fan-out).
@@ -86,15 +87,12 @@ def row_matrix(rows, n_items: int, normalized: bool) -> Array:
     at each of a row's n items when ``normalized``, else 1, built with one
     scatter into zeros. An empty row stays zero.
 
-    Raises ``ContractError`` naming the first row that holds an index
-    outside ``[0, n_items)`` or is not strictly increasing.
+    Raises ``ContractError`` naming the first row that holds a non-integer
+    dtype, an index outside ``[0, n_items)`` or items that are not strictly
+    increasing.
     """
-    lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-    items = np.concatenate([np.zeros(0, np.int64), *rows])
-    if items.dtype.kind not in "iu":
-        raise ContractError(f"item rows must hold integer indices, got dtype {items.dtype}")
-    row_of = np.repeat(np.arange(len(rows)), lengths)
-    codes = row_of * n_items + items
+    lengths, row_of, codes = row_codes(rows, n_items)
+    items = codes - row_of * n_items
     outside = (items < 0) | (items >= n_items)
     # with every index in range, codes rise across a row boundary, so a fall or a repeat lies within one row
     bad = np.flatnonzero(outside | np.concatenate([[False], codes[1:] <= codes[:-1]]))

@@ -145,7 +145,7 @@ class TrainConfig:
     d_hidden: int = 600
     d_latent: int = 200
     d_adv_hidden: int = 128
-    continuous_head: str = "sigmoid"  # "sigmoid" or "linear" output for continuous heads
+    continuous_head: str = "sigmoid"  # the one continuous head; kept as a field because perfbench passes it
     val_every: int = 1
     selection: str = "best"  # "best" (validation NDCG@10) or "final"
     model_seed: int = 0
@@ -169,13 +169,12 @@ class TrainConfig:
             ("model_seed", self.model_seed >= 0, ">= 0"),
             ("data_seed", self.data_seed >= 0, ">= 0"),
             ("adversary_seed", self.adversary_seed >= 0, ">= 0"),
+            ("continuous_head", self.continuous_head == "sigmoid", "'sigmoid' (the linear head was removed)"),
         ]:
             if not ok:
                 raise ConfigError(f"{name} must be {bound}, got {getattr(self, name)}")
         if self.selection not in ("best", "final"):
             raise ConfigError(f"unknown selection mode {self.selection!r}")
-        if self.continuous_head not in ("sigmoid", "linear"):
-            raise ConfigError(f"unknown continuous_head {self.continuous_head!r}")
         object.__setattr__(self, "lambdas", _ReadOnlyDict(self.lambdas))  # read-only, so the check below holds
         for name, lam in self.lambdas.items():
             if not 0.0 <= lam < np.inf:
@@ -202,16 +201,13 @@ def combo_label(lambdas: dict) -> str:
     return "_".join(f"{name}{lam:g}" for name, lam in lambdas.items())
 
 
-def build_specs(
-    attrs: UserAttributes, lambdas: dict, train_users: np.ndarray, continuous_head: str
-) -> list[adv.AttributeSpec]:
+def build_specs(attrs: UserAttributes, lambdas: dict, train_users: np.ndarray) -> list[adv.AttributeSpec]:
     """Attribute specs for every entry of the lambda map, in declared order,
     each of the kind that ``ATTRIBUTES`` gives it.
 
     Categorical attributes get inverse-frequency class weights computed on
     the training users.
     """
-    squash = continuous_head == "sigmoid"
     specs = []
     for name, lam in lambdas.items():
         if name not in ATTRIBUTES:
@@ -224,7 +220,7 @@ def build_specs(
                                   class_weights=weights, lam=float(lam))
             )
         else:
-            specs.append(adv.AttributeSpec(name=name, kind=adv.CONTINUOUS, lam=float(lam), squash=squash))
+            specs.append(adv.AttributeSpec(name=name, kind=adv.CONTINUOUS, lam=float(lam)))
     return specs
 
 
@@ -330,7 +326,7 @@ def train_adversarial_phase(
     dataset: InteractionDataset, attrs: UserAttributes, fold: FoldData, config: TrainConfig
 ) -> TrainResult:
     """Joint minimization of the recommender loss and the reversed head losses of ``config.lambdas``."""
-    specs = build_specs(attrs, config.lambdas, fold.split.train, config.continuous_head)
+    specs = build_specs(attrs, config.lambdas, fold.split.train)
     model_rng = np.random.default_rng(config.model_seed)
     data_rng = np.random.default_rng(config.data_seed)
     adversary_rng = np.random.default_rng(config.adversary_seed)
@@ -363,15 +359,16 @@ def train_adversarial_phase(
         entry.update(run_epoch(model, len(train_users), data_rng, config.batch_size, graph, optimizer, epoch))
         is_last = epoch == config.epochs_adversarial - 1
         if config.val_every and ((epoch + 1) % config.val_every == 0 or is_last):
-            ndcg, _, evaluated = evaluate_ranking(model, fold.val_foldin, fold.val_holdout)
+            # the upcast is a copy, which steps that write the model's arrays in place leave alone
+            current = recommender(model)
+            ndcg, _, evaluated = evaluate_ranking(current, fold.val_foldin, fold.val_holdout)
             val_ndcg = ev.evaluated_mean(ndcg, evaluated)
             entry["val_ndcg"] = val_ndcg
             if val_ndcg > best_ndcg:
                 best_ndcg = val_ndcg
                 best_epoch = epoch
                 if config.selection == "best":
-                    # every step writes the model's arrays in place, so the snapshot is a copy
-                    snapshot = recommender(model)
+                    snapshot = current
         log.append(entry)
 
     if best_epoch < 0:
@@ -401,7 +398,7 @@ def train_attack_phase(
     All attackers share one tape per batch and one optimizer; their losses
     are independent, so each learns as if alone.
     """
-    specs = build_specs(attrs, config.lambdas, split.train, config.continuous_head)
+    specs = build_specs(attrs, config.lambdas, split.train)
     head_rng = np.random.default_rng([config.adversary_seed, 1001])
     shuffle_rng = np.random.default_rng([config.data_seed, 1001])
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from advrec import autodiff as ad
+from advrec import evaluation as ev
 from advrec import multvae as mv
 from advrec.errors import ContractError, DimensionError
 
@@ -51,17 +52,36 @@ def test_encode_input_is_the_normalized_dense_row_bit_for_bit(dtype, seed):
     assert np.all(np.isfinite(state.mu.data[2]))
 
 
-@pytest.mark.parametrize("rows, message", [
-    ([[0, 2], [1, 8]], "row 1 has item 8 outside [0, 8)"),
-    ([[0, 2], [], [-1, 3]], "row 2 has item -1 outside [0, 8)"),
-    ([[0, 2], [3, 3]], "row 1 has items not strictly increasing"),
-    ([[4, 1], [0]], "row 0 has items not strictly increasing"),
-], ids=["out_of_range", "negative", "repeated", "unsorted"])
-def test_encode_rejects_rows_it_cannot_read_naming_the_row(rows, message):
+@pytest.mark.parametrize("rows, dtypes, message", [
+    ([[0, 2], [1, 8]], [np.int64] * 2, "row 1 has item 8 outside [0, 8)"),
+    ([[0, 2], [], [-1, 3]], [np.int64] * 3, "row 2 has item -1 outside [0, 8)"),
+    ([[0, 2], [3, 3]], [np.int64] * 2, "row 1 has items not strictly increasing"),
+    ([[4, 1], [0]], [np.int64] * 2, "row 0 has items not strictly increasing"),
+    ([[0, 2], [1, 8]], [np.uint64] * 2, "row 1 has item 8 outside [0, 8)"),
+    ([[4, 1], [0]], [np.uint32] * 2, "row 0 has items not strictly increasing"),
+    ([[0, 2], [], [1, 3]], [np.int64, np.int64, np.float64], "row 2 has items of dtype float64, not integer indices"),
+], ids=["out_of_range", "negative", "repeated", "unsorted", "uint64_out_of_range", "uint32_unsorted", "float"])
+def test_encode_rejects_rows_it_cannot_read_naming_the_row(rows, dtypes, message):
     enc_t = as_leaves(ad.Tape(), make_params())
     with pytest.raises(ContractError) as err:
-        mv.encode([np.array(row, dtype=np.int64) for row in rows], enc_t, None)
+        mv.encode([np.array(row, dtype=dtype) for row, dtype in zip(rows, dtypes)], enc_t, None)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("dtype", [np.uint64, np.uint32])
+def test_rows_of_any_integer_dtype_give_the_int64_matrix_and_ranking(dtype):
+    x = random_x(6, 8, seed=5)
+    x[2] = 0.0  # an empty row
+    rows = rows_of(x)
+    for normalized in (True, False):
+        expected = mv.row_matrix(rows, 8, normalized)
+        assert mv.row_matrix([row.astype(dtype) for row in rows], 8, normalized).tobytes() == expected.tobytes()
+    foldin, holdout = [row[::2] for row in rows], [row[1::2] for row in rows]
+    scores = np.random.default_rng(5).standard_normal(x.shape)
+    expected = ev.ranking_metrics(scores, foldin, holdout, 3)
+    ranked = ev.ranking_metrics(scores, [row.astype(dtype) for row in foldin],
+                                [row.astype(dtype) for row in holdout], 3)
+    assert [a.tobytes() for a in ranked] == [a.tobytes() for a in expected]
 
 
 def test_encode_deterministic_given_seed():

@@ -192,6 +192,8 @@ def test_a_train_config_is_checked_when_built():
         dataclasses.replace(tr.TrainConfig(), lambdas={"gender": float("nan")})
     with pytest.raises(ConfigError, match="val_every"):
         tr.TrainConfig(val_every=-1)
+    with pytest.raises(ConfigError, match="continuous_head .*linear head was removed"):
+        tr.TrainConfig(continuous_head="linear")
     config = tr.TrainConfig()
     with pytest.raises(dataclasses.FrozenInstanceError):
         config.lr = 0.5
@@ -372,7 +374,7 @@ def test_attacker_on_untrained_encoder_with_random_labels_is_chance_level():
         )
         rng = np.random.default_rng(seed + 900)
         attrs.gender = rng.permutation(np.tile([0, 1], 125))  # labels independent of x
-        specs = tr.build_specs(attrs, config.lambdas, fold.split.train, config.continuous_head)
+        specs = tr.build_specs(attrs, config.lambdas, fold.split.train)
         model = tr.init_model(
             dataset, specs, config,
             np.random.default_rng(seed), np.random.default_rng(seed + 1),
