@@ -178,6 +178,23 @@ def advx_loss(
 
 
 @dataclass
+class Reversal:
+    """The removal method: one reversed head per spec on the sampled ``z``.
+    It owns the parameters it draws from the adversary stream and its loss
+    on a batch, so the removal phase and :func:`total_objective` know neither."""
+
+    specs: list[AttributeSpec]
+
+    def init(self, d_latent: int, d_adv_hidden: int, rng: np.random.Generator) -> Params:
+        return init_heads(self.specs, d_latent, d_adv_hidden, rng)
+
+    def loss(self, parts: mv.LossParts, leaves: dict[str, Tensor],
+             targets: dict[str, Array]) -> tuple[Tensor | None, dict[str, Tensor]]:
+        """The summed head losses (None with no spec) and each attribute's."""
+        return advx_loss(parts.z, leaves, self.specs, targets) if self.specs else (None, {})
+
+
+@dataclass
 class ObjectiveParts:
     loss: Tensor
     mult: Tensor
@@ -190,25 +207,21 @@ def total_objective(
     rows,
     targets: dict[str, Array],
     model: dict[str, Array],
-    specs: list[AttributeSpec],
+    method: Reversal,
     beta: float,
     rng: np.random.Generator | None,
 ) -> tuple[ObjectiveParts, Tape, dict[str, Tensor]]:
     """Joint objective on a batch of item-index ``rows``: recommender loss
-    plus the reversed losses of the heads in ``specs``.
+    plus the loss of the removal ``method``.
 
     Returns the graph parts, the tape, and the leaves by parameter name,
-    which map the backward results onto the store. Heads of attributes
-    outside ``specs`` stay out of the graph.
+    which map the backward results onto the store.
     """
     tape = Tape()
-    graph = ("enc.", "dec.") + tuple(f"head.{spec.name}." for spec in specs)
-    leaves = {name: tape.leaf(arr, name=name) for name, arr in model.items() if name.startswith(graph)}
+    leaves = {name: tape.leaf(arr, name=name) for name, arr in model.items()}
     mult, parts = mv.multvae_loss(rows, leaves, beta, rng)
-    loss, adv_each = mult, {}
-    if specs:
-        adv_total, adv_each = advx_loss(parts.z, leaves, specs, targets)
-        loss = ad.add(mult, adv_total)
+    removal, adv_each = method.loss(parts, leaves, targets)
+    loss = mult if removal is None else ad.add(mult, removal)
     return ObjectiveParts(loss=loss, mult=mult, nll=parts.nll, kl=parts.kl, adv=adv_each), tape, leaves
 
 

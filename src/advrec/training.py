@@ -27,6 +27,7 @@ import contextlib
 import dataclasses
 import functools
 import multiprocessing
+import numbers
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -46,8 +47,8 @@ ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
 
 # The protected attributes and their kinds. This order fixes the order of the
-# config's lambda.* keys, hence of the lambda map and of the specs, and so the
-# order in which the heads draw from the adversary stream.
+# config's lambda.* keys and of every TrainConfig's lambda map, hence of the
+# specs, and so the order in which the heads draw from the adversary stream.
 ATTRIBUTES = {"gender": adv.CATEGORICAL, "age": adv.CONTINUOUS}
 
 
@@ -119,6 +120,10 @@ def adam_step(params: dict, grads: dict, state: AdamState) -> dict:
     return params
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 class _ReadOnlyDict(dict):
     """A dict whose mutators raise ``TypeError``: the lambdas of a frozen config."""
 
@@ -154,31 +159,43 @@ class TrainConfig:
     lambdas: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        def integer(name, low):
+            value = getattr(self, name)
+            ok = isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= low
+            return name, ok, f"an integer >= {low}"
+
         # each bound is written as "in range" and negated, so that NaN fails it too
         for name, ok, bound in [
-            ("epochs_adversarial", self.epochs_adversarial >= 1, ">= 1"),
-            ("epochs_attack", self.epochs_attack >= 1, ">= 1"),
-            ("batch_size", self.batch_size >= 1, ">= 1"),
-            ("beta_max", 0.0 <= self.beta_max < np.inf, "finite and >= 0"),
-            ("lr", 0.0 < self.lr < np.inf, "finite and > 0"),
-            ("d_hidden", self.d_hidden >= 1, ">= 1"),
-            ("d_latent", self.d_latent >= 1, ">= 1"),
-            ("d_adv_hidden", self.d_adv_hidden >= 1, ">= 1"),
-            ("anneal_steps", self.anneal_steps >= 0, ">= 0"),
-            ("val_every", self.val_every >= 0, ">= 0"),
-            ("model_seed", self.model_seed >= 0, ">= 0"),
-            ("data_seed", self.data_seed >= 0, ">= 0"),
-            ("adversary_seed", self.adversary_seed >= 0, ">= 0"),
+            integer("epochs_adversarial", 1),
+            integer("epochs_attack", 1),
+            integer("batch_size", 1),
+            ("beta_max", _is_real(self.beta_max) and 0.0 <= self.beta_max < np.inf, "a finite number >= 0"),
+            ("lr", _is_real(self.lr) and 0.0 < self.lr < np.inf, "a finite number > 0"),
+            integer("d_hidden", 1),
+            integer("d_latent", 1),
+            integer("d_adv_hidden", 1),
+            integer("anneal_steps", 0),
+            integer("val_every", 0),
+            integer("model_seed", 0),
+            integer("data_seed", 0),
+            integer("adversary_seed", 0),
             ("continuous_head", self.continuous_head == "sigmoid", "'sigmoid' (the linear head was removed)"),
         ]:
             if not ok:
-                raise ConfigError(f"{name} must be {bound}, got {getattr(self, name)}")
+                raise ConfigError(f"{name} must be {bound}, got {getattr(self, name)!r}")
         if self.selection not in ("best", "final"):
             raise ConfigError(f"unknown selection mode {self.selection!r}")
-        object.__setattr__(self, "lambdas", _ReadOnlyDict(self.lambdas))  # read-only, so the check below holds
+        if not isinstance(self.lambdas, dict):
+            raise ConfigError(f"lambdas must be a dict from attribute to lambda, got {self.lambdas!r}")
         for name, lam in self.lambdas.items():
-            if not 0.0 <= lam < np.inf:
-                raise ConfigError(f"lambda for {name!r} must be finite and >= 0, got {lam}")
+            if name not in ATTRIBUTES:
+                raise ConfigError(f"unknown attribute {name!r} in lambdas; expected one of {list(ATTRIBUTES)}")
+            if not (_is_real(lam) and 0.0 <= lam < np.inf):
+                raise ConfigError(f"lambda for {name!r} must be a finite number >= 0, got {lam!r}")
+        # in ATTRIBUTES order, which fixes the heads' draws and the labels, so equal configs train alike;
+        # read-only, so the checks above hold
+        ordered = _ReadOnlyDict((name, self.lambdas[name]) for name in ATTRIBUTES if name in self.lambdas)
+        object.__setattr__(self, "lambdas", ordered)
 
     def to_meta(self) -> dict:
         meta = dataclasses.asdict(self)
@@ -210,8 +227,6 @@ def build_specs(attrs: UserAttributes, lambdas: dict, train_users: np.ndarray) -
     """
     specs = []
     for name, lam in lambdas.items():
-        if name not in ATTRIBUTES:
-            raise ConfigError(f"unknown attribute {name!r}; expected one of {sorted(ATTRIBUTES)}")
         if ATTRIBUTES[name] == adv.CATEGORICAL:
             n_classes = len(attrs.gender_labels)
             weights = class_weights(attrs.gender[train_users], n_classes)
@@ -279,18 +294,18 @@ class TrainResult:
 
 def init_model(
     dataset: InteractionDataset,
-    specs: list[adv.AttributeSpec],
+    method: adv.Reversal,
     config: TrainConfig,
     model_rng: np.random.Generator,
     adversary_rng: np.random.Generator,
 ) -> adv.Params:
-    """Encoder and decoder from the model stream, removal heads from the
-    adversary stream, all drawn in float64 and then cast to the float32
-    store that the removal phase trains."""
+    """Encoder and decoder from the model stream, the removal method's
+    parameters from the adversary stream, all drawn in float64 and then cast
+    to the float32 store that the removal phase trains."""
     drawn = {
         **mv.init_encoder(dataset.n_items, config.d_hidden, config.d_latent, model_rng),
         **mv.init_decoder(dataset.n_items, config.d_hidden, config.d_latent, model_rng),
-        **adv.init_heads(specs, config.d_latent, config.d_adv_hidden, adversary_rng),
+        **method.init(config.d_latent, config.d_adv_hidden, adversary_rng),
     }
     return adv.Params((name, arr.astype(np.float32)) for name, arr in drawn.items())
 
@@ -326,12 +341,12 @@ def train_adversarial_phase(
     dataset: InteractionDataset, attrs: UserAttributes, fold: FoldData, config: TrainConfig
 ) -> TrainResult:
     """Joint minimization of the recommender loss and the reversed head losses of ``config.lambdas``."""
-    specs = build_specs(attrs, config.lambdas, fold.split.train)
+    method = adv.Reversal(build_specs(attrs, config.lambdas, fold.split.train))
     model_rng = np.random.default_rng(config.model_seed)
     data_rng = np.random.default_rng(config.data_seed)
     adversary_rng = np.random.default_rng(config.adversary_seed)
 
-    model = init_model(dataset, specs, config, model_rng, adversary_rng)
+    model = init_model(dataset, method, config, model_rng, adversary_rng)
     optimizer = AdamState(config.lr)
     targets_all = attrs.targets()
     train_users = fold.split.train
@@ -340,7 +355,7 @@ def train_adversarial_phase(
         batch_users = train_users[rows]
         beta = config.beta_max * min(1.0, step / config.anneal_steps) if config.anneal_steps else config.beta_max
         targets = {name: values[batch_users] for name, values in targets_all.items()}
-        parts, tape, leaves = adv.total_objective([dataset.row(u) for u in batch_users], targets, params, specs,
+        parts, tape, leaves = adv.total_objective([dataset.row(u) for u in batch_users], targets, params, method,
                                                   beta, model_rng)
         named = {"mult": parts.mult, "nll": parts.nll, "kl": parts.kl}
         named.update({f"adv_{name}": tensor for name, tensor in parts.adv.items()})

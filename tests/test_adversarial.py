@@ -189,7 +189,7 @@ def test_advx_loss_missing_target_column():
 
 def objective_grads(model, specs, x, targets, seed=11):
     parts, tape, leaves = adv.total_objective(
-        x, targets, model, specs, beta=0.3, rng=np.random.default_rng(seed),
+        x, targets, model, adv.Reversal(specs), beta=0.3, rng=np.random.default_rng(seed),
     )
     grad_map = tape.backward(parts.loss)
     return parts, {name: grad_map[leaf] for name, leaf in leaves.items()}
@@ -222,7 +222,8 @@ def test_total_objective_zero_lambda_matches_plain_model_gradients():
     targets = {"gender": np.array([0, 1, 0, 1, 1]), "age": np.random.default_rng(7).random(5)}
     specs = [gender_spec(lam=0.0), age_spec(lam=0.0)]
     _, grads_with_heads = objective_grads(model, specs, x, targets)
-    _, grads_plain = objective_grads(model, [], x, targets)
+    _, grads_plain = objective_grads(small_recommender(), [], x, targets)
+    assert grads_plain.keys() == grads_with_heads.keys() - {name for name in model if name.startswith("head.")}
     for name, grad in grads_plain.items():
         assert np.array_equal(grads_with_heads[name], grad), name
     # the heads still learn: their own gradients are nonzero
@@ -235,7 +236,9 @@ def test_total_objective_single_active_lambda_matches_single_head_graph():
     targets = {"gender": np.array([1, 1, 0, 1, 0]), "age": np.random.default_rng(9).random(5)}
     specs_both = [gender_spec(lam=0.0), age_spec(lam=300.0)]
     _, grads_both = objective_grads(model, specs_both, x, targets)
-    _, grads_single = objective_grads(model, [age_spec(lam=300.0)], x, targets)
+    without_gender = {name: arr for name, arr in model.items() if not name.startswith("head.gender.")}
+    _, grads_single = objective_grads(without_gender, [age_spec(lam=300.0)], x, targets)
+    assert grads_single.keys() == without_gender.keys()
     for name, grad in grads_single.items():
         assert np.array_equal(grads_both[name], grad), name
 
@@ -256,7 +259,7 @@ def test_total_objective_gradients_match_finite_differences_with_reversal():
 
     def rebuild(arrs):
         return adv.total_objective(
-            x, targets, dict(zip(names, arrs)), specs, beta=0.3, rng=np.random.default_rng(13),
+            x, targets, dict(zip(names, arrs)), adv.Reversal(specs), beta=0.3, rng=np.random.default_rng(13),
         )
 
     parts, tape, leaves = rebuild(arrays)

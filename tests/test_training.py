@@ -185,15 +185,29 @@ def test_default_epoch_counts_follow_protocol():
     assert config.epochs_attack == 50
 
 
+INTEGER_FIELDS = ["epochs_adversarial", "epochs_attack", "batch_size", "anneal_steps", "d_hidden", "d_latent",
+                  "d_adv_hidden", "val_every", "model_seed", "data_seed", "adversary_seed"]
+
+
 def test_a_train_config_is_checked_when_built():
-    with pytest.raises(ConfigError, match="lr"):
-        tr.TrainConfig(lr=0)
     with pytest.raises(ConfigError, match="'gender'"):
         dataclasses.replace(tr.TrainConfig(), lambdas={"gender": float("nan")})
-    with pytest.raises(ConfigError, match="val_every"):
-        tr.TrainConfig(val_every=-1)
-    with pytest.raises(ConfigError, match="continuous_head .*linear head was removed"):
-        tr.TrainConfig(continuous_head="linear")
+    for settings, named in [
+        ({"lr": 0}, "lr"),
+        ({"lr": True}, "lr"),
+        ({"beta_max": "0.4"}, "beta_max"),
+        ({"val_every": -1}, "val_every"),
+        ({"continuous_head": "linear"}, "continuous_head .*linear head was removed"),
+        # lambda maps the program cannot run: not a dict, an attribute it cannot remove, values not real numbers
+        ({"lambdas": [("gender", 1.0)]}, "lambdas must be a dict"),
+        ({"lambdas": {"ethnicity": 1.0}}, "'ethnicity'"),
+        ({"lambdas": {"gender": "400"}}, "'gender'"),
+        ({"lambdas": {"age": True}}, "'age'"),
+        *[({name: value}, f"{name} must be an integer") for name in INTEGER_FIELDS for value in (2.5, True, "8")],
+    ]:
+        with pytest.raises(ConfigError, match=named):
+            tr.TrainConfig(**settings)
+    assert tr.TrainConfig(batch_size=np.int64(32), lambdas={"age": np.float32(2), "gender": 1}).batch_size == 32
     config = tr.TrainConfig()
     with pytest.raises(dataclasses.FrozenInstanceError):
         config.lr = 0.5
@@ -222,6 +236,56 @@ def test_train_defaults_are_written_once():
 def test_schema_attribute_keys_are_the_attribute_table(section):
     keys = [key.split(".", 1)[1] for key in cf.SCHEMA if key.startswith(f"{section}.")]
     assert keys == list(tr.ATTRIBUTES)
+
+
+def test_configs_that_compare_equal_train_alike_whatever_the_order_of_their_lambdas():
+    dataset, attrs, fold, config = tiny_setup(epochs_adversarial=2, lambdas={"gender": 1, "age": 1})
+    swapped = dataclasses.replace(config, lambdas={"age": 1, "gender": 1})
+    assert swapped == config and list(swapped.lambdas) == list(tr.ATTRIBUTES)
+    assert tr.combo_label(swapped.lambdas) == tr.combo_label(config.lambdas) == "gender1_age1"
+    hashes = [params_hash(tr.train_adversarial_phase(dataset, attrs, fold, c).params.items())
+              for c in (config, swapped)]
+    assert hashes[0] == hashes[1]
+
+
+class ZeroPenalty:
+    """A second removal method through the seam: no parameters and no loss."""
+
+    def __init__(self, specs):
+        pass
+
+    def init(self, d_latent, d_adv_hidden, rng):
+        return adv.Params()
+
+    def loss(self, parts, leaves, targets):
+        return None, {}
+
+
+def test_a_method_with_no_parameters_and_no_loss_is_reversal_without_heads():
+    dataset, attrs, fold, config = tiny_setup()
+    users = fold.split.train[: config.batch_size]
+    targets = {name: values[users] for name, values in attrs.targets().items()}
+    stores, grads = [], []
+    for method in (ZeroPenalty([]), adv.Reversal([])):
+        store = tr.init_model(dataset, method, config, np.random.default_rng(0), np.random.default_rng(1))
+        parts, tape, leaves = adv.total_objective([dataset.row(u) for u in users], targets, store, method, 0.2,
+                                                  np.random.default_rng(2))
+        assert parts.adv == {}
+        grad_map = tape.backward(parts.loss)
+        stores.append([(name, arr.tobytes()) for name, arr in store.items()])
+        grads.append([(name, grad_map[leaf].tobytes()) for name, leaf in leaves.items()] + [parts.loss.data.tobytes()])
+    assert stores[0] == stores[1]
+    assert grads[0] == grads[1]
+
+
+def test_a_removal_phase_through_a_method_with_no_loss_trains_plain_multvae(monkeypatch):
+    dataset, attrs, fold, config = tiny_setup(epochs_adversarial=2, val_every=1, selection="best")
+    plain = tr.train_adversarial_phase(dataset, attrs, fold, config)
+    monkeypatch.setattr(adv, "Reversal", ZeroPenalty)
+    zero = tr.train_adversarial_phase(dataset, attrs, fold,
+                                      dataclasses.replace(config, lambdas={"gender": 1.0, "age": 1.0}))
+    assert enc_dec_bytes(zero.params) == enc_dec_bytes(plain.params)
+    assert zero.log == plain.log
 
 
 def test_training_is_bit_deterministic():
@@ -376,7 +440,7 @@ def test_attacker_on_untrained_encoder_with_random_labels_is_chance_level():
         attrs.gender = rng.permutation(np.tile([0, 1], 125))  # labels independent of x
         specs = tr.build_specs(attrs, config.lambdas, fold.split.train)
         model = tr.init_model(
-            dataset, specs, config,
+            dataset, adv.Reversal(specs), config,
             np.random.default_rng(seed), np.random.default_rng(seed + 1),
         )
         attack = tr.train_attack_phase(model, dataset, attrs, fold.split, config)
